@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Sweep root-system types and bucket every reduced word of the longest
-element by the commuting letter set J that controls its automorphism
-group.  Prints one deterministic table per type; optionally dumps JSON.
+"""Sweep root-system types and count the reduced words of the longest
+element in each class of the commuting letter set J that controls its
+automorphism group.  Prints one deterministic table per type; optionally
+dumps JSON.  No word cap applies: the classes are counted, not listed.
 
 Example:
-    python3 scripts/scan_w0_classes.py --types A2,A3,B3,D4 --json out.json
+    python3 scripts/scan_w0_classes.py --types A2,A3,B3,D4,F4 --json out.json
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from bsdh.roots import RootSystem
 
 @dataclass
 class ScanConfig:
-    types: list = field(default_factory=lambda: ["A2", "A3", "B3", "D4"])
-    cap: int = 100_000
+    types: list = field(default_factory=lambda: ["A2", "A3", "B3", "D4", "F4"])
     json_path: str | None = None
 
 
@@ -30,7 +30,7 @@ def run(cfg: ScanConfig) -> dict:
     for name in cfg.types:
         rs = RootSystem.of(name)
         t0 = time.monotonic()
-        classes = classify_all_w0(rs, cap=cfg.cap, allow_large=True)
+        classes = classify_all_w0(rs, allow_large=True)
         elapsed = time.monotonic() - t0
         results[name] = classes
         print(f"== {name}: {classes.total_words} words of the longest "
@@ -47,15 +47,13 @@ def run(cfg: ScanConfig) -> dict:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--types", default="A2,A3,B3,D4",
+    parser.add_argument("--types", default="A2,A3,B3,D4,F4",
                         help="comma-separated Cartan types")
-    parser.add_argument("--cap", type=int, default=100_000,
-                        help="hard cap on words per type")
     parser.add_argument("--json", dest="json_path", default=None,
                         help="write the full result map to this file")
     args = parser.parse_args()
     cfg = ScanConfig(types=[t.strip() for t in args.types.split(",") if t],
-                     cap=args.cap, json_path=args.json_path)
+                     json_path=args.json_path)
     results = run(cfg)
     if cfg.json_path:
         payload = {name: classes.to_json()

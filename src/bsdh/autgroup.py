@@ -22,9 +22,11 @@ nonempty iff the criterion holds); it is wired to the same predicate by
 construction and recorded separately only so reports surface both
 phrasings.
 
-classify_all_w0 buckets every reduced word of w_0 by its J-set, with
-checkpoint/resume for the minutes-scale runs (D4 has 2316 words; F4
-already exceeds two million, hence the cap guardrail).
+classify_all_w0 counts the reduced words of w_0 in each J-set class by
+dynamic programming over (prefix element, J), without listing a single
+word, so F4 (over two million words) and E6 (about 1.3e15) are in reach;
+the cost grows with the group order, not the word count.  The cap
+guardrail still bounds the word count unless allow_large is set.
 """
 
 from __future__ import annotations
@@ -148,62 +150,73 @@ class W0Classes:
                 "classes": classes}
 
 
-def _word_J(rs: RootSystem, word: tuple) -> tuple:
-    return tuple(sorted({word[l] for l in range(len(word))
-                         if all(rs.cartan[word[k]][word[l]] == 0
-                                for k in range(l))}))
-
-
 def classify_all_w0(rs: RootSystem, cap: int = weyl.DEFAULT_WORD_CAP,
                     allow_large: bool = False,
-                    checkpoint_path: Optional[str] = None,
-                    checkpoint_every: int = 500) -> W0Classes:
-    """Bucket every reduced word of w_0 by its J-set.
+                    checkpoint_path: Optional[str] = None) -> W0Classes:
+    """Count the reduced words of w_0 in each J-set class, listing none.
 
-    Enumeration order is deterministic, so an interrupted run that left a
-    checkpoint file resumes by skipping the recorded number of words.
+    A letter joins J exactly when it first enters the support and is
+    orthogonal to every letter already there, so J depends only on the
+    order in which letters enter, and is final once the support is full.
+    A forward dynamic program over (prefix element u, J) extends u by its
+    right ascents, carrying how many reduced prefixes reach each state.
+    When supp(u) becomes full the state freezes: every ascending path from
+    u to w_0 completes it, and those are counted by the reduced words of
+    u^{-1} w_0, whose inverse is w_0 u.
+
+    The cap still applies to the number of words classified.  A checkpoint
+    path receives the finished table (``processed`` equal to the word
+    count); a file already there is overwritten, never read.
     """
     w0 = weyl.longest_element(rs)
     total = weyl.count_words(rs, w0)
     if total > cap and not allow_large:
         raise weyl.WordCapExceeded(total, cap)
 
-    processed = 0
-    buckets: dict = {}
-    if checkpoint_path and os.path.exists(checkpoint_path):
-        try:
-            with open(checkpoint_path) as fh:
-                state = json.load(fh)
-            if state.get("type") == str(rs.cartan_type) \
-                    and state.get("total_words") == total:
-                processed = state["processed"]
-                buckets = {tuple(j - 1 for j in json.loads(k)): v
-                           for k, v in state["buckets"].items()}
-        except (OSError, ValueError, KeyError):
-            processed, buckets = 0, {}
+    n = rs.rank
+    full = (1 << n) - 1
+    refl = [weyl.simple_reflection(rs, i) for i in range(n)]
+    # bit mask of the letters orthogonal to letter i
+    orth = [sum(1 << k for k in range(n) if rs.cartan[i][k] == 0)
+            for i in range(n)]
+    # u -> (supp(u) mask, {J mask: reduced prefixes of u with that J})
+    level = {weyl.identity(rs): (0, {0: 1})}
+    frozen: dict = {}   # u with full support -> {J mask: prefixes}
+    while level:
+        grown: dict = {}
+        for u, (supp, by_J) in level.items():
+            for i in range(n):
+                if rs.is_negative_root(u.apply(rs.simple_roots[i])):
+                    continue
+                v = u @ refl[i]
+                bit = 1 << i
+                joins = not supp & bit and not supp & ~orth[i]
+                supp_v = supp | bit
+                target = frozen.setdefault(v, {}) if supp_v == full \
+                    else grown.setdefault(v, (supp_v, {}))[1]
+                for J, c in by_J.items():
+                    J_v = J | bit if joins else J
+                    target[J_v] = target.get(J_v, 0) + c
+        level = grown
 
-    def save(done: int) -> None:
-        if not checkpoint_path:
-            return
+    buckets: dict = {}
+    for u, by_J in frozen.items():
+        rest = weyl.count_words(rs, w0 @ u)
+        for J, c in by_J.items():
+            key = tuple(k for k in range(n) if J >> k & 1)
+            buckets[key] = buckets.get(key, 0) + c * rest
+    if sum(buckets.values()) != total:
+        raise AssertionError("J-classes do not sum to the word count")
+
+    if checkpoint_path:
         state = {"type": str(rs.cartan_type), "total_words": total,
-                 "processed": done,
+                 "processed": total,
                  "buckets": {json.dumps([j + 1 for j in J]): c
                              for J, c in sorted(buckets.items())}}
         tmp = checkpoint_path + ".tmp"
         with open(tmp, "w") as fh:
             json.dump(state, fh)
         os.replace(tmp, checkpoint_path)
-
-    done = 0
-    for word in weyl.reduced_words(rs, w0, cap=cap, allow_large=allow_large):
-        done += 1
-        if done <= processed:
-            continue
-        J = _word_J(rs, word)
-        buckets[J] = buckets.get(J, 0) + 1
-        if checkpoint_path and done % checkpoint_every == 0:
-            save(done)
-    save(done)
     return W0Classes(rs=rs, total_words=total, buckets=buckets)
 
 
@@ -281,10 +294,11 @@ def _suite_operators(rs, report, *, cases=1000, seed=0, **_):
 
 
 def _suite_euler(rs, report, *, weights=50, seed=0, cap=weyl.DEFAULT_WORD_CAP,
-                 **_):
+                 allow_large=False, **_):
     rng = Random(seed)
     for w in weyl.all_elements(rs):
-        words = list(weyl.reduced_words(rs, w, cap=cap))
+        words = list(weyl.reduced_words(rs, w, cap=cap,
+                                        allow_large=allow_large))
         lams = [tuple(rng.randint(-4, 4) for _ in range(rs.rank))
                 for _ in range(weights)]
         if len(words) < 2:
@@ -336,7 +350,7 @@ def _check_sl_word(rs, word, report):
 
 
 def _suite_simply_laced(rs, report, *, w0_only=None, sample=None, seed=0,
-                        cap=weyl.DEFAULT_WORD_CAP, **_):
+                        cap=weyl.DEFAULT_WORD_CAP, allow_large=False, **_):
     if not rs.cartan_type.simply_laced():
         raise ValueError(f"suite requires a simply-laced type, got {rs.cartan_type}")
     if w0_only is None:
@@ -347,18 +361,21 @@ def _suite_simply_laced(rs, report, *, w0_only=None, sample=None, seed=0,
         elements = weyl.all_elements(rs)
     rng = Random(seed)
     for w in elements:
-        words = list(weyl.reduced_words(rs, w, cap=cap))
+        words = list(weyl.reduced_words(rs, w, cap=cap,
+                                        allow_large=allow_large))
         if sample is not None and len(words) > sample:
             words = rng.sample(words, sample)
         for word in words:
             _check_sl_word(rs, word, report)
 
 
-def _suite_kernel(rs, report, *, cap=weyl.DEFAULT_WORD_CAP, **_):
+def _suite_kernel(rs, report, *, cap=weyl.DEFAULT_WORD_CAP,
+                  allow_large=False, **_):
     if not rs.cartan_type.simply_laced():
         raise ValueError(f"suite requires a simply-laced type, got {rs.cartan_type}")
     w0 = weyl.longest_element(rs)
-    for j_word in weyl.reduced_words(rs, w0, cap=cap):
+    for j_word in weyl.reduced_words(rs, w0, cap=cap,
+                                     allow_large=allow_large):
         for r in range(len(j_word) + 1):
             b = BsdhWord(rs, j_word[:r])
             rep = kernel_char(b, j_word)
@@ -371,12 +388,13 @@ def _suite_kernel(rs, report, *, cap=weyl.DEFAULT_WORD_CAP, **_):
                      **_char_pair(rep.predicted, rep.observed)})
 
 
-def _suite_w0_all_types(rs, report, *, cap=weyl.DEFAULT_WORD_CAP, **_):
+def _suite_w0_all_types(rs, report, *, cap=weyl.DEFAULT_WORD_CAP,
+                        allow_large=False, **_):
     n = rs.rank
     zero = (0,) * n
     simply = rs.cartan_type.simply_laced()
     w0 = weyl.longest_element(rs)
-    for word in weyl.reduced_words(rs, w0, cap=cap):
+    for word in weyl.reduced_words(rs, w0, cap=cap, allow_large=allow_large):
         b = BsdhWord(rs, word)
         chi = tangent_euler_char(b)
         h1 = h1_w0_char(b)

@@ -27,6 +27,7 @@ longest element with a dominant weight this is the full Weyl character.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .roots import RootSystem
@@ -154,16 +155,16 @@ def demazure_step(rs: RootSystem, i: int, chi: Character) -> Character:
                     out[w] = v
                 else:
                     del out[w]
-                w = tuple(a - b for a, b in zip(w, alpha))
+                w = tuple(map(sub, w, alpha))
         elif n <= -2:
-            w = tuple(a + b for a, b in zip(lam, alpha))
+            w = tuple(map(add, lam, alpha))
             for _ in range(-n - 1):
                 v = get(w, 0) - c
                 if v:
                     out[w] = v
                 else:
                     del out[w]
-                w = tuple(a + b for a, b in zip(w, alpha))
+                w = tuple(map(add, w, alpha))
         # n == -1 contributes nothing
     res = Character.__new__(Character)
     res.terms = out

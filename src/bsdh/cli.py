@@ -8,7 +8,7 @@ Subcommands::
     aut          classify Aut^0(Z(w, i)) for a reduced word
     tangent-char tangent-bundle character report for a reduced word
     kernel       predicted vs observed restriction-kernel characters
-    classify-w0  bucket all reduced words of w_0 by their J-set
+    classify-w0  count the reduced words of w_0 in each J-set class
     verify       run one of the named invariant suites
 
 Conventions: simple-root indices are 1-based on the command line (words
@@ -248,11 +248,12 @@ def cmd_kernel(type_name: str, word_text: str, completion_text: str,
 @click.option("--allow-large", is_flag=True)
 @click.option("--checkpoint", default=None,
               type=click.Path(dir_okay=False, writable=True),
-              help="Checkpoint file; an interrupted run resumes from it.")
+              help="Also write the finished table to this file "
+                   "(overwritten, never read back).")
 @output_option
 def cmd_classify_w0(type_name: str, cap: int, allow_large: bool,
                     checkpoint: Optional[str], output: Optional[str]) -> None:
-    """Bucket every reduced word of w_0 by its J-set."""
+    """Count the reduced words of w_0 in each J-set class."""
     rs = _root_system(type_name)
     try:
         result = autgroup.classify_all_w0(rs, cap=cap, allow_large=allow_large,

@@ -193,8 +193,10 @@ def h1_w0_char(b: BsdhWord) -> Character:
 
     Only available at the longest element, where the section character is
     the parabolic subalgebra of J(w_0, i) in every type.  The result is
-    coefficientwise nonnegative with zero multiplicity of e^0, and is the
-    zero character in simply-laced types.
+    coefficientwise nonnegative, and is the zero character in simply-laced
+    types.  Outside them its e^0 multiplicity depends on the word and can
+    be nonzero: it is 1 for the B2 word 2,1,2,1, and 2 and 1 for the G2
+    words 1,2,1,2,1,2 and 2,1,2,1,2,1.
     """
     if b.element != weyl.longest_element(b.rs):
         raise ValueError("word does not multiply to the longest element; "

@@ -208,20 +208,28 @@ def longest_element(rs: RootSystem) -> WeylElement:
 
 def count_words(rs: RootSystem, w: WeylElement) -> int:
     """Number of reduced words of w, by the memoized descent recursion
-    c(e) = 1, c(w) = sum over right descents i of c(w s_i)."""
+    c(e) = 1, c(w) = sum over right descents i of c(w s_i).
+
+    The recursion runs on an explicit stack, so a call leaves no reference
+    cycle that would keep ``rs`` (and the memo in its caches) alive after
+    it returns.
+    """
     memo = rs._caches.setdefault("count", {})
     refl = _reflection_matrices(rs)
-
-    def rec(u: WeylElement) -> int:
-        got = memo.get(u.matrix)
-        if got is not None:
-            return got
-        ds = right_descents(rs, u)
-        total = 1 if not ds else sum(rec(u @ refl[i]) for i in ds)
-        memo[u.matrix] = total
-        return total
-
-    return rec(w)
+    # (element, its descent products once expanded); an element is summed
+    # when it is popped the second time, after everything below it
+    stack = [(w, None)]
+    while stack:
+        u, below = stack.pop()
+        if u.matrix in memo:
+            continue
+        if below is None:
+            below = [u @ refl[i] for i in right_descents(rs, u)]
+            stack.append((u, below))
+            stack.extend((v, None) for v in below if v.matrix not in memo)
+        else:
+            memo[u.matrix] = sum(memo[v.matrix] for v in below) if below else 1
+    return memo[w.matrix]
 
 
 def _word_list(rs: RootSystem, w: WeylElement) -> tuple:

@@ -102,3 +102,19 @@ def bruhat_leq_subword(rs: RootSystem, v: weyl.WeylElement,
             if weyl.from_word(rs, sub) == v:
                 return True
     return False
+
+
+def w0_classes_by_enumeration(rs: RootSystem) -> dict:
+    """{J: number of reduced words of w_0 with that J}, by listing every
+    word.  J' is computed here with its own loop: position l counts when
+    its letter pairs to zero with every earlier letter."""
+    buckets: dict = {}
+    w0 = weyl.longest_element(rs)
+    for word in weyl.reduced_words(rs, w0, allow_large=True):
+        letters = set()
+        for l, b in enumerate(word):
+            if all(rs.cartan[a][b] == 0 for a in word[:l]):
+                letters.add(b)
+        J = tuple(sorted(letters))
+        buckets[J] = buckets.get(J, 0) + 1
+    return buckets

@@ -7,6 +7,8 @@ from bsdh.autgroup import (W0Classes, classify, classify_all_w0, verify)
 from bsdh.tangent import BsdhWord
 from bsdh import weyl
 
+from oracles import count_reduced_words, w0_classes_by_enumeration
+
 
 # -- classify ---------------------------------------------------------------
 
@@ -138,9 +140,34 @@ def test_classify_all_w0_checkpoint_roundtrip(rs, tmp_path):
     assert path.exists()
     state = json.loads(path.read_text())
     assert state["processed"] == 16
-    # a rerun resumes from the completed checkpoint and returns the same map
+    # a leftover file is ignored and overwritten, never resumed from
+    path.write_text(json.dumps({**state, "processed": 3, "buckets": {"[1]": 99}}))
     again = classify_all_w0(a3, checkpoint_path=str(path))
     assert again.buckets == first.buckets
+    assert json.loads(path.read_text()) == state
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "B2", "B3", "B4", "C3",
+                                  "C4", "D4", "G2"])
+def test_classify_all_w0_matches_enumeration(rs, name):
+    system = rs(name)
+    classes = classify_all_w0(system)
+    assert classes.buckets == w0_classes_by_enumeration(system)
+    assert classes.total_words == sum(classes.buckets.values())
+
+
+def test_classify_all_w0_f4(rs):
+    f4 = rs("F4")
+    classes = classify_all_w0(f4, allow_large=True)
+    assert classes.total_words == count_reduced_words(
+        f4, weyl.longest_element(f4)) == 2_144_892
+    assert sum(classes.buckets.values()) == classes.total_words
+    assert len(classes.buckets) == 7
+    for key in classes.buckets:
+        for x in key:
+            for y in key:
+                if x != y:
+                    assert f4.cartan[x][y] == 0
 
 
 # -- verify suites ----------------------------------------------------------

@@ -224,6 +224,16 @@ def test_verify_failing_suite_exits_one(run):
     assert all("check" in f for f in js["failures"])
 
 
+def test_verify_allow_large_lifts_the_cap(run):
+    capped = run("verify", "--suite", "w0-all-types", "-t", "A3", "--cap", "4")
+    assert capped.exit_code == 2
+    assert "error:" in capped.stderr
+    lifted = run("verify", "--suite", "w0-all-types", "-t", "A3", "--cap", "4",
+                 "--allow-large")
+    assert lifted.exit_code == 0
+    assert json.loads(lifted.output)["cases"] == 16
+
+
 def test_verify_unknown_suite_rejected_by_click(run):
     res = run("verify", "--suite", "bogus", "-t", "A2")
     assert res.exit_code == 2

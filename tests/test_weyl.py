@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -85,6 +87,21 @@ def test_reduced_word_counts(rs, name, count):
     assert len(words) == count
     assert weyl.count_words(system, w0) == count
     assert count_reduced_words(system, w0) == count
+
+
+def test_count_words_leaves_no_cycle_holding_the_root_system():
+    # with the cycle collector off, only reference counting can free the
+    # system, so any cycle through it left by count_words keeps it alive
+    gc.collect()
+    gc.disable()
+    try:
+        system = RootSystem.of("B3")
+        assert weyl.count_words(system, weyl.longest_element(system)) == 42
+        ref = weakref.ref(system)
+        del system
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_reduced_words_properties(rs):
