@@ -5,7 +5,7 @@ automorphism group.  Prints one deterministic table per type; optionally
 dumps JSON.  No word cap applies: the classes are counted, not listed.
 
 Example:
-    python3 scripts/scan_w0_classes.py --types A2,A3,B3,D4,F4 --json out.json
+    python3 scripts/scan_w0_classes.py --types A2,A3,B3,D4,F4,E6 --json out.json
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from bsdh.roots import RootSystem
 
 @dataclass
 class ScanConfig:
-    types: list = field(default_factory=lambda: ["A2", "A3", "B3", "D4", "F4"])
+    types: list = field(default_factory=lambda: ["A2", "A3", "B3", "D4", "F4", "E6"])
     json_path: str | None = None
 
 
@@ -47,7 +47,7 @@ def run(cfg: ScanConfig) -> dict:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--types", default="A2,A3,B3,D4,F4",
+    parser.add_argument("--types", default=",".join(ScanConfig().types),
                         help="comma-separated Cartan types")
     parser.add_argument("--json", dest="json_path", default=None,
                         help="write the full result map to this file")

@@ -25,7 +25,7 @@ from .weyl import (WeylElement, WordCapExceeded, all_elements,
 from .characters import (Character, demazure_character, demazure_step,
                          euler_char, reference_chars)
 from .tangent import (BsdhWord, KernelReport, TangentReport,
-                      adjoint_containment, h1_w0_char, j_sets, kernel_char,
+                      adjoint_containment, h1_w0_char, kernel_char,
                       root_subset_R_w, schubert_tangent_char,
                       tangent_euler_char, tangent_h0_char)
 from .autgroup import (AutReport, VerifyReport, W0Classes, classify,

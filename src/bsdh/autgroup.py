@@ -31,12 +31,9 @@ guardrail still bounds the word count unless allow_large is set.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass, field
 from random import Random
-from typing import Optional
 
 from .roots import RootSystem
 from .characters import Character, demazure_step, euler_char, reference_chars
@@ -151,8 +148,7 @@ class W0Classes:
 
 
 def classify_all_w0(rs: RootSystem, cap: int = weyl.DEFAULT_WORD_CAP,
-                    allow_large: bool = False,
-                    checkpoint_path: Optional[str] = None) -> W0Classes:
+                    allow_large: bool = False) -> W0Classes:
     """Count the reduced words of w_0 in each J-set class, listing none.
 
     A letter joins J exactly when it first enters the support and is
@@ -162,61 +158,49 @@ def classify_all_w0(rs: RootSystem, cap: int = weyl.DEFAULT_WORD_CAP,
     right ascents, carrying how many reduced prefixes reach each state.
     When supp(u) becomes full the state freezes: every ascending path from
     u to w_0 completes it, and those are counted by the reduced words of
-    u^{-1} w_0, whose inverse is w_0 u.
+    u^{-1} w_0.
 
-    The cap still applies to the number of words classified.  A checkpoint
-    path receives the finished table (``processed`` equal to the word
-    count); a file already there is overwritten, never read.
+    Each u is keyed by the vector z = (u^{-1} w_0)(rho) = -u^{-1}(rho) of
+    that remainder, so no Weyl-element product is taken: the right ascents
+    i of u are the left descents of u^{-1} w_0 (z[i] < 0), u s_i has
+    vector s_i(z), and a frozen state's completions are counted at z.
+    The cap still applies to the number of words classified.
     """
-    w0 = weyl.longest_element(rs)
-    total = weyl.count_words(rs, w0)
+    n = rs.rank
+    top = tuple(-c for c in rs.rho)   # u = e: the remainder is w_0
+    total = weyl._count(rs, top)
     if total > cap and not allow_large:
         raise weyl.WordCapExceeded(total, cap)
 
-    n = rs.rank
     full = (1 << n) - 1
-    refl = [weyl.simple_reflection(rs, i) for i in range(n)]
     # bit mask of the letters orthogonal to letter i
     orth = [sum(1 << k for k in range(n) if rs.cartan[i][k] == 0)
             for i in range(n)]
-    # u -> (supp(u) mask, {J mask: reduced prefixes of u with that J})
-    level = {weyl.identity(rs): (0, {0: 1})}
-    frozen: dict = {}   # u with full support -> {J mask: prefixes}
+    # z -> (supp(u) mask, {J mask: reduced prefixes of u with that J})
+    level = {top: (0, {0: 1})}
+    frozen: dict = {}   # z of u with full support -> {J mask: prefixes}
     while level:
         grown: dict = {}
-        for u, (supp, by_J) in level.items():
-            for i in range(n):
-                if rs.is_negative_root(u.apply(rs.simple_roots[i])):
-                    continue
-                v = u @ refl[i]
+        for z, (supp, by_J) in level.items():
+            for i, z_next in weyl._descents(rs, z):
                 bit = 1 << i
                 joins = not supp & bit and not supp & ~orth[i]
-                supp_v = supp | bit
-                target = frozen.setdefault(v, {}) if supp_v == full \
-                    else grown.setdefault(v, (supp_v, {}))[1]
+                supp_next = supp | bit
+                target = frozen.setdefault(z_next, {}) if supp_next == full \
+                    else grown.setdefault(z_next, (supp_next, {}))[1]
                 for J, c in by_J.items():
-                    J_v = J | bit if joins else J
-                    target[J_v] = target.get(J_v, 0) + c
+                    J_next = J | bit if joins else J
+                    target[J_next] = target.get(J_next, 0) + c
         level = grown
 
     buckets: dict = {}
-    for u, by_J in frozen.items():
-        rest = weyl.count_words(rs, w0 @ u)
+    for z, by_J in frozen.items():
+        rest = weyl._count(rs, z)
         for J, c in by_J.items():
             key = tuple(k for k in range(n) if J >> k & 1)
             buckets[key] = buckets.get(key, 0) + c * rest
     if sum(buckets.values()) != total:
         raise AssertionError("J-classes do not sum to the word count")
-
-    if checkpoint_path:
-        state = {"type": str(rs.cartan_type), "total_words": total,
-                 "processed": total,
-                 "buckets": {json.dumps([j + 1 for j in J]): c
-                             for J, c in sorted(buckets.items())}}
-        tmp = checkpoint_path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(state, fh)
-        os.replace(tmp, checkpoint_path)
     return W0Classes(rs=rs, total_words=total, buckets=buckets)
 
 

@@ -16,8 +16,7 @@ look like ``--word 1,2,1,3,2,1``); all output is deterministic (sorted
 keys, fixed orderings, no timestamps unless ``--timing``), so identical
 invocations produce byte-identical bytes.  Exit codes: 0 success, 1
 verification failures, 2 input errors (a non-reduced word reports its
-shortest failing prefix).  Set ``BSDH_CACHE_DIR`` to cache reduced-word
-enumerations on disk between runs.
+shortest failing prefix).
 """
 
 from __future__ import annotations
@@ -146,7 +145,7 @@ def cmd_roots(type_name: str, fmt: str, output: Optional[str]) -> None:
               help="Refuse enumeration beyond this many words.")
 @click.option("--allow-large", is_flag=True,
               help="Enumerate even past the cap.")
-@click.option("--limit", default=None, type=int,
+@click.option("--limit", default=None, type=click.IntRange(min=0),
               help="Emit at most this many words (marks output truncated).")
 @format_option
 @output_option
@@ -246,18 +245,13 @@ def cmd_kernel(type_name: str, word_text: str, completion_text: str,
 @click.option("--cap", default=weyl.DEFAULT_WORD_CAP, show_default=True,
               help="Refuse runs with more w_0 words than this.")
 @click.option("--allow-large", is_flag=True)
-@click.option("--checkpoint", default=None,
-              type=click.Path(dir_okay=False, writable=True),
-              help="Also write the finished table to this file "
-                   "(overwritten, never read back).")
 @output_option
 def cmd_classify_w0(type_name: str, cap: int, allow_large: bool,
-                    checkpoint: Optional[str], output: Optional[str]) -> None:
+                    output: Optional[str]) -> None:
     """Count the reduced words of w_0 in each J-set class."""
     rs = _root_system(type_name)
     try:
-        result = autgroup.classify_all_w0(rs, cap=cap, allow_large=allow_large,
-                                          checkpoint_path=checkpoint)
+        result = autgroup.classify_all_w0(rs, cap=cap, allow_large=allow_large)
     except weyl.WordCapExceeded as exc:
         _fail(str(exc))
     _emit_json(result.to_json(), output)

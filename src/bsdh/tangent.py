@@ -53,7 +53,6 @@ __all__ = [
     "BsdhWord",
     "TangentReport",
     "KernelReport",
-    "j_sets",
     "tangent_euler_char",
     "tangent_h0_char",
     "h1_w0_char",
@@ -94,11 +93,6 @@ class BsdhWord:
 
     def __repr__(self) -> str:
         return f"BsdhWord({self.rs.cartan_type}, {weyl.format_word(self.word)!r})"
-
-
-def j_sets(b: BsdhWord):
-    """(J' positions, J simple-root indices) for the word."""
-    return b.j_prime, b.J
 
 
 @dataclass

@@ -3,9 +3,8 @@ Weyl group machinery on top of a root system.
 
 Elements are represented by their integer matrix acting on the weight
 lattice in fundamental-weight coordinates.  That gives a canonical,
-word-independent identity (equality and hashing are by matrix), which in
-turn makes memoized reduced-word enumeration and Bruhat-interval caching
-straightforward.
+word-independent identity (equality and hashing are by matrix), used for
+comparisons, Bruhat intervals and every action on a weight.
 
 Words are tuples of 0-based simple-root indices; the product convention is
 ``from_word((i_1, ..., i_r)) = s_{i_1} s_{i_2} ... s_{i_r}`` acting on
@@ -13,21 +12,23 @@ weights with s_{i_r} applied first.  Externally words serialize as
 comma-separated 1-based indices ("1,2,1,3,2,1"); see :func:`format_word`
 and :func:`parse_word`.
 
-Enumeration of reduced words recurses over right descents (the words of w
-are the words of w*s_i extended by i, over all descents i), memoized per
-element, emitted in lexicographic order.  Because word counts explode in
-high rank (the F4 longest element already has over two million reduced
-words), enumeration is guarded by an exact pre-count with a configurable
-cap; exceeding the cap requires an explicit opt-in.
+Reduced words are counted and streamed on the single vector x = w(rho)
+rather than on matrices: because rho is regular, x fixes w, the left
+descents of w are the i with x[i] < 0, and s_i w has vector s_i(x), an
+O(rank) update.  The words of w are i followed by a word of s_i w, over
+the left descents i in ascending order, so a depth-first walk emits them
+in lexicographic order with no sorting and memory bounded by the elements
+it has visited.  Because word counts explode in high rank (the F4 longest
+element already has over two million reduced words), enumeration is
+guarded by an exact pre-count with a configurable cap; exceeding the cap
+requires an explicit opt-in.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import islice
+from typing import Iterator, Optional, Sequence
 
 from .roots import Root, RootSystem, Weight
 
@@ -206,56 +207,76 @@ def longest_element(rs: RootSystem) -> WeylElement:
 # -- reduced-word enumeration ------------------------------------------
 
 
-def count_words(rs: RootSystem, w: WeylElement) -> int:
-    """Number of reduced words of w, by the memoized descent recursion
-    c(e) = 1, c(w) = sum over right descents i of c(w s_i).
+def _descents(rs: RootSystem, x: tuple) -> list:
+    """(i, s_i(x)) for each i with x[i] < 0, in ascending i.
+
+    For x = w(rho) these i are the left descents of w, since
+    w^{-1}(alpha_i) < 0 iff <w(rho), alpha_i^vee> < 0, and s_i(x) is the
+    vector (s_i w)(rho).
+    """
+    roots = rs.simple_roots
+    return [(i, tuple(a - c * b for a, b in zip(x, roots[i])))
+            for i, c in enumerate(x) if c < 0]
+
+
+def _count(rs: RootSystem, x: tuple) -> int:
+    """Reduced words of the element with vector x, memoized by vector in
+    ``rs._caches["count"]``: c(e) = 1, c(w) = sum of c(s_i w) over the left
+    descents i of w.
 
     The recursion runs on an explicit stack, so a call leaves no reference
     cycle that would keep ``rs`` (and the memo in its caches) alive after
     it returns.
     """
     memo = rs._caches.setdefault("count", {})
-    refl = _reflection_matrices(rs)
-    # (element, its descent products once expanded); an element is summed
-    # when it is popped the second time, after everything below it
-    stack = [(w, None)]
+    # (vector, its descent vectors once expanded); a vector is summed when
+    # it is popped the second time, after everything below it
+    stack = [(x, None)]
     while stack:
-        u, below = stack.pop()
-        if u.matrix in memo:
+        y, below = stack.pop()
+        if y in memo:
             continue
         if below is None:
-            below = [u @ refl[i] for i in right_descents(rs, u)]
-            stack.append((u, below))
-            stack.extend((v, None) for v in below if v.matrix not in memo)
+            below = [z for _, z in _descents(rs, y)]
+            stack.append((y, below))
+            stack.extend((z, None) for z in below if z not in memo)
         else:
-            memo[u.matrix] = sum(memo[v.matrix] for v in below) if below else 1
-    return memo[w.matrix]
+            memo[y] = sum(memo[z] for z in below) if below else 1
+    return memo[x]
 
 
-def _word_list(rs: RootSystem, w: WeylElement) -> tuple:
-    """All reduced words of w, lexicographically sorted (memoized)."""
-    memo = rs._caches.setdefault("words", {})
-    got = memo.get(w.matrix)
-    if got is not None:
-        return got
-    disk = _disk_cache_load(rs, w)
-    if disk is not None:
-        memo[w.matrix] = disk
-        return disk
-    refl = _reflection_matrices(rs)
-    ds = right_descents(rs, w)
-    if not ds:
-        result = ((),)
-    else:
-        acc = []
-        for i in ds:
-            for prefix in _word_list(rs, w @ refl[i]):
-                acc.append(prefix + (i,))
-        acc.sort()
-        result = tuple(acc)
-    memo[w.matrix] = result
-    _disk_cache_store(rs, w, result)
-    return result
+def count_words(rs: RootSystem, w: WeylElement) -> int:
+    """Number of reduced words of w, by the memoized descent recursion."""
+    return _count(rs, tuple(w.apply(rs.rho)))
+
+
+def _walk(rs: RootSystem, x: tuple) -> Iterator[tuple]:
+    """Every reduced word of the element with vector x, lexicographically:
+    depth first over left descents in ascending order.  Descent lists are
+    kept per call, so each element below is reflected only once."""
+    edges: dict = {}
+    top = edges[x] = _descents(rs, x)
+    if not top:
+        yield ()
+        return
+    word: list = []   # one letter per iterator on the stack but the first
+    stack = [iter(top)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if word:
+                word.pop()
+            continue
+        i, y = step
+        below = edges.get(y)
+        if below is None:
+            below = edges[y] = _descents(rs, y)
+        if below:
+            word.append(i)
+            stack.append(iter(below))
+        else:
+            yield (*word, i)
 
 
 def reduced_words(rs: RootSystem, w: WeylElement, limit: Optional[int] = None,
@@ -263,18 +284,18 @@ def reduced_words(rs: RootSystem, w: WeylElement, limit: Optional[int] = None,
                   allow_large: bool = False) -> Iterator[tuple]:
     """Stream every reduced word of w exactly once, lexicographically.
 
-    An exact pre-count runs first; if it exceeds ``cap`` the enumeration
-    refuses unless ``allow_large`` is set.  ``limit`` truncates the stream
-    (truncation is visible by comparing against count_words, not an error).
+    An exact pre-count runs at the first ``next()``; if it exceeds ``cap``
+    the stream raises WordCapExceeded unless ``allow_large`` is set.  The
+    words are produced lazily, so taking a few of them costs a few walks
+    down from w, not the whole list.  ``limit`` (a nonnegative int or None)
+    truncates the stream; truncation is visible by comparing against
+    count_words, not an error.
     """
-    total = count_words(rs, w)
+    x = tuple(w.apply(rs.rho))
+    total = _count(rs, x)
     if total > cap and not allow_large:
         raise WordCapExceeded(total, cap)
-    words = _word_list(rs, w)
-    if limit is None:
-        yield from words
-    else:
-        yield from words[:limit]
+    yield from islice(_walk(rs, x), limit)
 
 
 def canonical_word(rs: RootSystem, w: WeylElement) -> tuple:
@@ -432,47 +453,3 @@ def parse_word(text: str, rank: int) -> tuple:
 def format_word(word: Sequence[int]) -> str:
     """Internal 0-based letters -> external "1,2,1" form."""
     return ",".join(str(i + 1) for i in word)
-
-
-# -- optional on-disk word cache ---------------------------------------
-
-
-def _cache_path(rs: RootSystem, w: WeylElement) -> Optional[str]:
-    root = os.environ.get("BSDH_CACHE_DIR")
-    if not root:
-        return None
-    digest = hashlib.sha256(repr(w.matrix).encode()).hexdigest()[:24]
-    return os.path.join(root, f"words_{rs.cartan_type}_{digest}.json")
-
-
-def _disk_cache_load(rs: RootSystem, w: WeylElement) -> Optional[tuple]:
-    path = _cache_path(rs, w)
-    if path is None or not os.path.exists(path):
-        return None
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-        if payload.get("matrix") != [list(r) for r in w.matrix]:
-            return None
-        return tuple(tuple(i - 1 for i in word) for word in payload["words"])
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-
-
-def _disk_cache_store(rs: RootSystem, w: WeylElement, words: tuple) -> None:
-    path = _cache_path(rs, w)
-    if path is None:
-        return
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        payload = {
-            "type": str(rs.cartan_type),
-            "matrix": [list(r) for r in w.matrix],
-            "words": [[i + 1 for i in word] for word in words],
-        }
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-    except OSError:
-        pass

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence
 
 from bsdh.characters import Character
@@ -69,6 +69,21 @@ def count_reduced_words(rs: RootSystem, w: weyl.WeylElement) -> int:
     return rec(w)
 
 
+def reduced_words_by_filter(rs: RootSystem, w: weyl.WeylElement) -> list:
+    """Every word of length l(w) whose matrix product is w.  Words of that
+    length are produced in lexicographic order, so the list is too.  Each
+    product is its prefix's product times one reflection matrix."""
+
+    @lru_cache(maxsize=None)
+    def from_word(word: tuple) -> weyl.WeylElement:
+        if not word:
+            return weyl.identity(rs)
+        return from_word(word[:-1]) @ weyl.simple_reflection(rs, word[-1])
+
+    return [word for word in product(range(rs.rank), repeat=weyl.length(rs, w))
+            if from_word(word) == w]
+
+
 def weyl_dimension(rs: RootSystem, lam: Sequence[int]) -> int:
     """prod over beta > 0 of <lam+rho, beta^vee> / <rho, beta^vee>, exactly.
 
@@ -118,3 +133,11 @@ def w0_classes_by_enumeration(rs: RootSystem) -> dict:
         J = tuple(sorted(letters))
         buckets[J] = buckets.get(J, 0) + 1
     return buckets
+
+
+def independent_sets(rs: RootSystem) -> set:
+    """The nonempty sets of pairwise orthogonal simple roots (the independent
+    sets of the Dynkin diagram), as sorted index tuples."""
+    n = rs.rank
+    return {J for r in range(1, n + 1) for J in combinations(range(n), r)
+            if all(rs.cartan[a][b] == 0 for a, b in combinations(J, 2))}

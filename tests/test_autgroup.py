@@ -7,7 +7,8 @@ from bsdh.autgroup import (W0Classes, classify, classify_all_w0, verify)
 from bsdh.tangent import BsdhWord
 from bsdh import weyl
 
-from oracles import count_reduced_words, w0_classes_by_enumeration
+from oracles import (count_reduced_words, independent_sets,
+                     w0_classes_by_enumeration)
 
 
 # -- classify ---------------------------------------------------------------
@@ -133,20 +134,6 @@ def test_classify_all_w0_cap(rs):
     assert sum(classes.buckets.values()) == 16
 
 
-def test_classify_all_w0_checkpoint_roundtrip(rs, tmp_path):
-    a3 = rs("A3")
-    path = tmp_path / "ckpt.json"
-    first = classify_all_w0(a3, checkpoint_path=str(path))
-    assert path.exists()
-    state = json.loads(path.read_text())
-    assert state["processed"] == 16
-    # a leftover file is ignored and overwritten, never resumed from
-    path.write_text(json.dumps({**state, "processed": 3, "buckets": {"[1]": 99}}))
-    again = classify_all_w0(a3, checkpoint_path=str(path))
-    assert again.buckets == first.buckets
-    assert json.loads(path.read_text()) == state
-
-
 @pytest.mark.parametrize("name", ["A2", "A3", "A4", "B2", "B3", "B4", "C3",
                                   "C4", "D4", "G2"])
 def test_classify_all_w0_matches_enumeration(rs, name):
@@ -236,3 +223,21 @@ def test_verify_report_json_schema(rs):
     assert js["failures"] == []
     js2 = report.to_json(timing=False)
     assert js2["elapsed_ms"] == 0
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "A6", "B2",
+                                  "B3", "B4", "B5", "C3", "C4", "C5", "D4",
+                                  "D5", "D6", "G2", "F4", "E6"])
+def test_w0_classes_are_the_independent_sets(rs, name):
+    # the J sets that occur for w_0 are exactly the nonempty sets of
+    # pairwise orthogonal simple roots
+    system = rs(name)
+    classes = classify_all_w0(system, allow_large=True)
+    assert set(classes.buckets) == independent_sets(system)
+
+
+def test_classify_all_w0_e6(rs):
+    classes = classify_all_w0(rs("E6"), allow_large=True)
+    assert len(classes.buckets) == 21
+    assert classes.total_words == 1_266_633_313_578_528
+    assert sum(classes.buckets.values()) == classes.total_words

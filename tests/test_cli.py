@@ -1,8 +1,14 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import bsdh
 from bsdh.cli import main
 
 
@@ -75,6 +81,43 @@ def test_words_limit(run):
     assert js["count"] == 16
     assert js["emitted"] == 3
     assert js["truncated"] is True
+    assert js["words"] == sorted(js["words"])
+
+
+def test_words_limit_negative_is_an_input_error(run):
+    res = run("words", "-t", "A3", "--limit", "-1")
+    assert res.exit_code == 2
+
+
+def test_words_limit_zero(run):
+    res = run("words", "-t", "A3", "--limit", "0")
+    assert res.exit_code == 0
+    js = json.loads(res.output)
+    assert js["emitted"] == 0
+    assert js["words"] == []
+    assert js["truncated"] is True
+
+
+def test_words_limit_streams_in_bounded_memory():
+    # D5's w_0 has over 13 million reduced words; the first three must not
+    # need them all in memory
+    limit = 2 << 30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(bsdh.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bsdh", "words", "-t", "D5", "--limit", "3",
+         "--allow-large"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    js = json.loads(proc.stdout)
+    assert js["emitted"] == 3
     assert js["words"] == sorted(js["words"])
 
 
@@ -197,13 +240,6 @@ def test_classify_w0_cap(run):
     res = run("classify-w0", "-t", "B3", "--cap", "10")
     assert res.exit_code == 2
     assert "error:" in res.stderr
-
-
-def test_classify_w0_checkpoint(run, tmp_path):
-    path = tmp_path / "state.json"
-    res = run("classify-w0", "-t", "A3", "--checkpoint", str(path))
-    assert res.exit_code == 0
-    assert json.loads(path.read_text())["processed"] == 16
 
 
 # -- verify -----------------------------------------------------------------

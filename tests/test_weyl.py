@@ -7,7 +7,8 @@ import pytest
 from bsdh.roots import RootSystem, Weight
 from bsdh import weyl
 
-from oracles import bruhat_leq_subword, count_reduced_words
+from oracles import (bruhat_leq_subword, count_reduced_words,
+                     reduced_words_by_filter)
 
 
 def test_from_word_identity_and_braid(rs):
@@ -115,6 +116,24 @@ def test_reduced_words_properties(rs):
         assert weyl.from_word(a3, word) == w0
 
 
+@pytest.mark.parametrize("name", ["A3", "B2", "G2"])
+def test_reduced_words_equal_filter_oracle_on_every_element(rs, name):
+    system = rs(name)
+    for w in weyl.all_elements(system):
+        expected = reduced_words_by_filter(system, w)
+        assert list(weyl.reduced_words(system, w)) == expected
+        assert weyl.count_words(system, w) == len(expected)
+
+
+def test_reduced_words_limit_is_a_prefix_of_the_oracle(rs):
+    b3 = rs("B3")
+    w0 = weyl.longest_element(b3)
+    expected = reduced_words_by_filter(b3, w0)
+    assert list(weyl.reduced_words(b3, w0)) == expected
+    for k in (0, 1, 5, 41, 42, 100):
+        assert list(weyl.reduced_words(b3, w0, limit=k)) == expected[:k]
+
+
 def test_word_cap(rs):
     a3 = rs("A3")
     w0 = weyl.longest_element(a3)
@@ -205,15 +224,3 @@ def test_parse_and_format_word():
         weyl.parse_word("1,x", 3)
     with pytest.raises(ValueError):
         weyl.parse_word("0,1", 3)
-
-
-def test_word_disk_cache(tmp_path, monkeypatch, rs):
-    monkeypatch.setenv("BSDH_CACHE_DIR", str(tmp_path))
-    system = RootSystem.of("A3")   # fresh object; fixture cache not shared
-    w0 = weyl.longest_element(system)
-    first = list(weyl.reduced_words(system, w0))
-    cached_files = list(tmp_path.iterdir())
-    assert cached_files, "expected the enumeration to write a cache file"
-    system2 = RootSystem.of("A3")
-    again = list(weyl.reduced_words(system2, weyl.longest_element(system2)))
-    assert again == first
