@@ -107,8 +107,8 @@ def classify(b: BsdhWord, cap: int = weyl.DEFAULT_WORD_CAP) -> AutReport:
         status = STATUS_EXACT
     elif simply and crit:
         status = STATUS_EXACT
-        u_inv = weyl.from_word(rs, tuple(reversed(b.word)))
-        if weyl.count_words(rs, u_inv @ w0) <= cap:
+        # completions are the reduced words of u^{-1} w_0
+        if weyl._count(rs, weyl._rest_to_w0(rs, b.word)) <= cap:
             for j_word in weyl.completions_to_w0(rs, b.word, cap=cap):
                 checked += 1
                 full = BsdhWord(rs, j_word)

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import nullcontext
+from itertools import chain, islice
 from typing import Optional
 
 import click
@@ -159,14 +161,20 @@ def cmd_words(type_name: str, word_text: Optional[str], cap: int,
     else:
         element = weyl.from_word(rs, _parse_word(rs, word_text))
     total = weyl.count_words(rs, element)
+    words = weyl.reduced_words(rs, element, limit=limit, cap=cap,
+                               allow_large=allow_large)
     try:
-        stream = list(weyl.reduced_words(rs, element, limit=limit, cap=cap,
-                                         allow_large=allow_large))
+        # the cap check runs at the first word, before any output
+        head = list(islice(words, 1))
     except weyl.WordCapExceeded as exc:
         _fail(str(exc))
     if fmt == "tsv":
-        _emit("".join(weyl.format_word(w) + "\n" for w in stream), output)
+        # written as the words stream, so no list of them is ever held
+        with open(output, "w") if output else nullcontext(sys.stdout) as fh:
+            for w in chain(head, words):
+                fh.write(weyl.format_word(w) + "\n")
         return
+    stream = head + list(words)
     payload = {
         "type": str(rs.cartan_type),
         "element": weyl.format_word(weyl.canonical_word(rs, element)),
@@ -262,16 +270,18 @@ def cmd_classify_w0(type_name: str, cap: int, allow_large: bool,
               type=click.Choice(sorted(autgroup.SUITES)),
               help="Which invariant battery to run.")
 @type_option
-@click.option("--cases", default=1000, show_default=True,
-              help="Fuzz cases for the operators suite.")
-@click.option("--weights", default=50, show_default=True,
+@click.option("--cases", default=1000, type=click.IntRange(min=0),
+              show_default=True, help="Fuzz cases for the operators suite.")
+@click.option("--weights", default=50, type=click.IntRange(min=0),
+              show_default=True,
               help="Random weights per element for the euler suite.")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--sample", default=None, type=int,
+@click.option("--sample", default=None, type=click.IntRange(min=0),
               help="Sample at most this many words per element.")
 @click.option("--w0-only/--all-words", "w0_only", default=None,
               help="Restrict simply-laced-theorems to longest-element words.")
-@click.option("--cap", default=weyl.DEFAULT_WORD_CAP, show_default=True)
+@click.option("--cap", default=weyl.DEFAULT_WORD_CAP, show_default=True,
+              type=click.IntRange(min=0))
 @click.option("--allow-large", is_flag=True)
 @click.option("--timing", is_flag=True,
               help="Include real elapsed milliseconds in the report.")

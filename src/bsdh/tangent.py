@@ -11,7 +11,8 @@ Demazure strings:
   prefix — one summand per P^1-level of the tower, with the base point
   contributing nothing (an empty word gives the zero report, and the
   multiplicity of the zero weight therefore *emerges* as d(w), the number
-  of distinct letters, rather than being seeded);
+  of distinct letters, rather than being seeded); the sum is taken by
+  Horner's rule, one Demazure step per letter;
 
 * in simply-laced types higher cohomology of the tangent bundle
   vanishes, so the same sum is the genuine character of
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .roots import RootSystem, dominance_leq
-from .characters import Character, euler_char, reference_chars
+from .characters import Character, demazure_step, euler_char, reference_chars
 from . import weyl
 
 __all__ = [
@@ -97,21 +98,25 @@ class BsdhWord:
 
 @dataclass
 class TangentReport:
-    """Character data for the tangent bundle of Z(w, i).
-
-    per_step[j] is the contribution of the (j+1)-st P^1-level: the Euler
-    characteristic (or exact section character, per mode) of the line
-    bundle of alpha_{i_{j+1}} along the prefix (i_1 ... i_{j+1}).
-    """
+    """Character data for the tangent bundle of Z(w, i)."""
 
     rs: RootSystem
     word: tuple
     mode: str
-    per_step: list
     total: Character
     J: tuple
     supp: tuple
     d: int
+
+    @property
+    def per_step(self) -> list:
+        """per_step[j] is the contribution of the (j+1)-st P^1-level: the
+        Euler characteristic (or exact section character, per mode) of the
+        line bundle of alpha_{i_{j+1}} along the prefix (i_1 ... i_{j+1}).
+        Computed on each read; ``total`` is their sum."""
+        rs, word = self.rs, self.word
+        return [euler_char(rs, word[: j + 1], rs.simple_roots[word[j]])
+                for j in range(len(word))]
 
     @property
     def zero_mult(self) -> int:
@@ -142,15 +147,15 @@ class TangentReport:
         }
 
 
-def _step_sum(b: BsdhWord) -> tuple:
-    steps = []
+def _tangent_sum(b: BsdhWord) -> Character:
+    """sum over j of D_{i_1} ... D_{i_j}(e^{alpha_{i_j}}), by Horner's rule:
+    D_{i_1}(e^{alpha_{i_1}} + D_{i_2}(e^{alpha_{i_2}} + ... D_{i_r}(e^{alpha_{i_r}}))),
+    which takes r Demazure steps instead of r(r+1)/2."""
+    rs = b.rs
     total = Character.zero()
-    for j in range(len(b.word)):
-        alpha = b.rs.simple_roots[b.word[j]]
-        step = euler_char(b.rs, b.word[: j + 1], alpha)
-        steps.append(step)
-        total = total + step
-    return steps, total
+    for i in reversed(b.word):
+        total = demazure_step(rs, i, total + Character.monomial(rs.simple_roots[i]))
+    return total
 
 
 def tangent_euler_char(b: BsdhWord) -> TangentReport:
@@ -159,10 +164,8 @@ def tangent_euler_char(b: BsdhWord) -> TangentReport:
     Valid in every type: Euler characteristics are additive along the
     relative-tangent filtration regardless of vanishing.
     """
-    steps, total = _step_sum(b)
     return TangentReport(rs=b.rs, word=b.word, mode=MODE_EULER,
-                         per_step=steps, total=total,
-                         J=b.J, supp=b.supp, d=b.d)
+                         total=_tangent_sum(b), J=b.J, supp=b.supp, d=b.d)
 
 
 def tangent_h0_char(b: BsdhWord) -> TangentReport:
@@ -176,10 +179,8 @@ def tangent_h0_char(b: BsdhWord) -> TangentReport:
         raise ValueError(
             f"{b.rs.cartan_type} is not simply laced, so the Euler sum is not "
             "known to equal the section character; use tangent_euler_char")
-    steps, total = _step_sum(b)
     return TangentReport(rs=b.rs, word=b.word, mode=MODE_H0,
-                         per_step=steps, total=total,
-                         J=b.J, supp=b.supp, d=b.d)
+                         total=_tangent_sum(b), J=b.J, supp=b.supp, d=b.d)
 
 
 def h1_w0_char(b: BsdhWord) -> Character:
@@ -228,17 +229,11 @@ def root_subset_R_w(rs: RootSystem, word: Sequence[int]) -> set:
     """R_w = R+ minus the union of R+(v^{-1}) over v <= w.
 
     Computed literally from the Bruhat lower interval.  R+(v^{-1}) is
-    read off without inverting matrices: it equals {-v(gamma) : gamma in
-    R+, v(gamma) negative}.
+    read off the vector v(rho): it is {beta in R+ : <v(rho), beta^vee> < 0}.
     """
-    covered = set()
-    for v in weyl.lower_interval(rs, word):
-        for gamma in rs.positive_roots:
-            image = v.apply(gamma.weight)
-            if rs.is_negative_root(image):
-                covered.add(tuple(-c for c in image))
+    interval = weyl.lower_interval(rs, word)
     return {beta for beta in rs.positive_roots
-            if tuple(beta.weight) not in covered}
+            if all(rs.coroot_pairing(v.x, beta) > 0 for v in interval)}
 
 
 @dataclass

@@ -1,10 +1,12 @@
 """
 Weyl group machinery on top of a root system.
 
-Elements are represented by their integer matrix acting on the weight
-lattice in fundamental-weight coordinates.  That gives a canonical,
-word-independent identity (equality and hashing are by matrix), used for
-comparisons, Bruhat intervals and every action on a weight.
+An element w is the single vector x = w(rho) in fundamental-weight
+coordinates; rho is regular, so x fixes w, and equality and hashing are by
+x.  The rest is read off x by O(rank) reflections, with no matrix product:
+the left descents of w are the i with x[i] < 0, s_i w has vector s_i(x),
+and stripping the smallest left descent until x = rho gives a reduced word
+of w, which is how w acts on other weights.
 
 Words are tuples of 0-based simple-root indices; the product convention is
 ``from_word((i_1, ..., i_r)) = s_{i_1} s_{i_2} ... s_{i_r}`` acting on
@@ -12,21 +14,18 @@ weights with s_{i_r} applied first.  Externally words serialize as
 comma-separated 1-based indices ("1,2,1,3,2,1"); see :func:`format_word`
 and :func:`parse_word`.
 
-Reduced words are counted and streamed on the single vector x = w(rho)
-rather than on matrices: because rho is regular, x fixes w, the left
-descents of w are the i with x[i] < 0, and s_i w has vector s_i(x), an
-O(rank) update.  The words of w are i followed by a word of s_i w, over
-the left descents i in ascending order, so a depth-first walk emits them
-in lexicographic order with no sorting and memory bounded by the elements
-it has visited.  Because word counts explode in high rank (the F4 longest
-element already has over two million reduced words), enumeration is
-guarded by an exact pre-count with a configurable cap; exceeding the cap
-requires an explicit opt-in.
+The words of w are i followed by a word of s_i w, over the left descents i
+in ascending order, so a depth-first walk on x emits them in lexicographic
+order with no sorting and memory bounded by the elements it has visited.
+Because word counts explode in high rank (the F4 longest element already
+has over two million reduced words), enumeration is guarded by an exact
+pre-count with a configurable cap; exceeding the cap requires an explicit
+opt-in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator, Optional, Sequence
 
@@ -72,114 +71,120 @@ class WordCapExceeded(RuntimeError):
         self.cap = cap
 
 
+def _reflect(x, i: int, roots) -> tuple:
+    """s_i(x) = x - <x, alpha_i^vee> alpha_i, as a plain tuple."""
+    c = x[i]
+    return tuple(a - c * b for a, b in zip(x, roots[i]))
+
+
+def _apply(roots, word, lam) -> tuple:
+    """s_{i_1} ... s_{i_r}(lam), the last letter applied first."""
+    for i in reversed(word):
+        lam = _reflect(lam, i, roots)
+    return tuple(lam)
+
+
+def _left_word(x, roots) -> list:
+    """A reduced word of the element with vector x: its smallest left
+    descent, then the same for s_i(x), until x = rho."""
+    word = []
+    while True:
+        i = next((i for i, c in enumerate(x) if c < 0), None)
+        if i is None:
+            return word
+        word.append(i)
+        x = _reflect(x, i, roots)
+
+
 @dataclass(frozen=True)
 class WeylElement:
-    """A Weyl group element as its action matrix on the weight lattice."""
+    """A Weyl group element w as the vector x = w(rho).
 
-    matrix: tuple  # n rows, each a tuple of n ints
+    The simple roots ride along (not compared or hashed) so that the
+    element can act on weights without holding its RootSystem.
+    """
+
+    x: tuple
+    simple_roots: tuple = field(compare=False, repr=False)
 
     def apply(self, lam) -> Weight:
-        return Weight(sum(row[j] * lam[j] for j in range(len(row)))
-                      for row in self.matrix)
+        roots = self.simple_roots
+        return Weight(_apply(roots, _left_word(self.x, roots), lam))
 
     def __matmul__(self, other: "WeylElement") -> "WeylElement":
-        a, b = self.matrix, other.matrix
-        n = len(a)
-        return WeylElement(tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)))
+        return WeylElement(tuple(self.apply(other.x)), self.simple_roots)
 
     def is_identity(self) -> bool:
-        return all(v == (1 if i == j else 0)
-                   for i, row in enumerate(self.matrix)
-                   for j, v in enumerate(row))
+        return all(c == 1 for c in self.x)
 
-    def __repr__(self) -> str:
-        return f"WeylElement{self.matrix!r}"
+
+def _element(rs: RootSystem, x) -> WeylElement:
+    return WeylElement(tuple(x), rs.simple_roots)
+
+
+def _inverse_vector(w: WeylElement) -> tuple:
+    """w^{-1}(rho): the reversed word of w applied to rho."""
+    roots = w.simple_roots
+    return _apply(roots, _left_word(w.x, roots)[::-1], (1,) * len(w.x))
 
 
 # -- construction ------------------------------------------------------
 
 
 def identity(rs: RootSystem) -> WeylElement:
-    n = rs.rank
-    return WeylElement(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-
-def _reflection_matrices(rs: RootSystem) -> tuple:
-    cached = rs._caches.get("refl")
-    if cached is None:
-        n = rs.rank
-        mats = []
-        for i in range(n):
-            rows = []
-            for k in range(n):
-                row = [int(k == j) for j in range(n)]
-                row[i] -= rs.cartan[k][i]
-                rows.append(tuple(row))
-            mats.append(WeylElement(tuple(rows)))
-        cached = rs._caches["refl"] = tuple(mats)
-    return cached
+    return _element(rs, rs.rho)
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    return _reflection_matrices(rs)[i]
+    return _element(rs, _reflect(rs.rho, i, rs.simple_roots))
 
 
 def from_word(rs: RootSystem, word: Sequence[int]) -> WeylElement:
     """Product s_{i_1} ... s_{i_r}; the empty word gives the identity."""
-    refl = _reflection_matrices(rs)
-    w = identity(rs)
     for i in word:
         if not 0 <= i < rs.rank:
             raise IndexError(f"letter {i} out of range for {rs.cartan_type}")
-        w = w @ refl[i]
-    return w
+    return _element(rs, _apply(rs.simple_roots, word, rs.rho))
 
 
 def apply_word(rs: RootSystem, word: Sequence[int], lam) -> Weight:
-    """Apply s_{i_1}...s_{i_r} to a weight without building the matrix."""
-    lam = Weight(lam)
-    for i in reversed(word):
-        c = lam[i]
-        col = rs.simple_roots[i]
-        lam = Weight(x - c * col[k] for k, x in enumerate(lam))
-    return lam
+    """Apply s_{i_1}...s_{i_r} to a weight."""
+    return Weight(_apply(rs.simple_roots, word, lam))
 
 
 # -- length, descents, inversions -------------------------------------
 
 
 def inversions(rs: RootSystem, w: WeylElement) -> set:
-    """R+(w) = {beta in R+ : w(beta) in R-}."""
-    return {beta for beta in rs.positive_roots
-            if rs.is_negative_root(w.apply(beta.weight))}
+    """R+(w) = {beta in R+ : w(beta) in R-}, i.e. <w^{-1}(rho), beta^vee> < 0."""
+    y = _inverse_vector(w)
+    return {beta for beta in rs.positive_roots if rs.coroot_pairing(y, beta) < 0}
 
 
 def length(rs: RootSystem, w: WeylElement) -> int:
-    return len(inversions(rs, w))
+    """l(w) = |R+(w^{-1})|, the positive beta with <w(rho), beta^vee> < 0."""
+    return sum(rs.coroot_pairing(w.x, beta) < 0 for beta in rs.positive_roots)
 
 
 def right_descents(rs: RootSystem, w: WeylElement) -> list:
-    """Indices i with l(w s_i) < l(w), i.e. w(alpha_i) negative."""
-    return [i for i in range(rs.rank)
-            if rs.is_negative_root(w.apply(rs.simple_roots[i]))]
+    """Indices i with l(w s_i) < l(w): the left descents of w^{-1}."""
+    return [i for i, c in enumerate(_inverse_vector(w)) if c < 0]
 
 
 def unreduced_prefix(rs: RootSystem, word: Sequence[int]) -> Optional[tuple]:
     """The shortest non-reduced prefix of the word, or None if reduced.
 
-    Walks the word maintaining the running product; the first letter that
-    fails to increase length closes the failing prefix.
+    Walks the word carrying v = u^{-1}(rho) for the prefix u read so far:
+    the next letter i lengthens u iff v[i] > 0, and u s_i has s_i(v).
     """
-    refl = _reflection_matrices(rs)
-    u = identity(rs)
+    roots = rs.simple_roots
+    v = rs.rho
     for k, i in enumerate(word):
         if not 0 <= i < rs.rank:
             raise IndexError(f"letter {i} out of range for {rs.cartan_type}")
-        if rs.is_negative_root(u.apply(rs.simple_roots[i])):
+        if v[i] < 0:
             return tuple(word[: k + 1])
-        u = u @ refl[i]
+        v = _reflect(v, i, roots)
     return None
 
 
@@ -188,20 +193,8 @@ def is_reduced(rs: RootSystem, word: Sequence[int]) -> bool:
 
 
 def longest_element(rs: RootSystem) -> WeylElement:
-    """w_0, built by repeated ascent; satisfies w_0(R+) = R-."""
-    w0 = rs._caches.get("w0")
-    if w0 is None:
-        refl = _reflection_matrices(rs)
-        w = identity(rs)
-        while True:
-            asc = next((i for i in range(rs.rank)
-                        if not rs.is_negative_root(w.apply(rs.simple_roots[i]))),
-                       None)
-            if asc is None:
-                break
-            w = w @ refl[asc]
-        w0 = rs._caches["w0"] = w
-    return w0
+    """w_0, with vector -rho; satisfies w_0(R+) = R-."""
+    return _element(rs, (-c for c in rs.rho))
 
 
 # -- reduced-word enumeration ------------------------------------------
@@ -247,7 +240,7 @@ def _count(rs: RootSystem, x: tuple) -> int:
 
 def count_words(rs: RootSystem, w: WeylElement) -> int:
     """Number of reduced words of w, by the memoized descent recursion."""
-    return _count(rs, tuple(w.apply(rs.rho)))
+    return _count(rs, w.x)
 
 
 def _walk(rs: RootSystem, x: tuple) -> Iterator[tuple]:
@@ -291,7 +284,7 @@ def reduced_words(rs: RootSystem, w: WeylElement, limit: Optional[int] = None,
     truncates the stream; truncation is visible by comparing against
     count_words, not an error.
     """
-    x = tuple(w.apply(rs.rho))
+    x = w.x
     total = _count(rs, x)
     if total > cap and not allow_large:
         raise WordCapExceeded(total, cap)
@@ -299,18 +292,17 @@ def reduced_words(rs: RootSystem, w: WeylElement, limit: Optional[int] = None,
 
 
 def canonical_word(rs: RootSystem, w: WeylElement) -> tuple:
-    """A fixed reduced word for w: smallest right descent, right to left."""
-    refl = _reflection_matrices(rs)
-    rev = []
-    u = w
-    while True:
-        ds = right_descents(rs, u)
-        if not ds:
-            break
-        i = ds[0]
-        rev.append(i)
-        u = u @ refl[i]
-    return tuple(reversed(rev))
+    """A fixed reduced word for w: smallest right descent, right to left.
+
+    The right descents of w are the left descents of w^{-1}, so this is the
+    smallest-left-descent word of w^{-1}(rho), reversed.
+    """
+    return tuple(reversed(_left_word(_inverse_vector(w), rs.simple_roots)))
+
+
+def _rest_to_w0(rs: RootSystem, word: Sequence[int]) -> tuple:
+    """The vector of u^{-1} w_0 for the word's element u: -u^{-1}(rho)."""
+    return tuple(-c for c in _apply(rs.simple_roots, tuple(word)[::-1], rs.rho))
 
 
 def completions_to_w0(rs: RootSystem, word: Sequence[int],
@@ -324,8 +316,7 @@ def completions_to_w0(rs: RootSystem, word: Sequence[int],
     bad = unreduced_prefix(rs, word)
     if bad is not None:
         raise ValueError(f"word is not reduced; failing prefix {bad}")
-    u_inv = from_word(rs, tuple(reversed(tuple(word))))
-    rest = u_inv @ longest_element(rs)
+    rest = _element(rs, _rest_to_w0(rs, word))
     prefix = tuple(word)
     for t in reduced_words(rs, rest, cap=cap, allow_large=allow_large):
         yield prefix + t
@@ -337,9 +328,10 @@ def completions_to_w0(rs: RootSystem, word: Sequence[int],
 def lower_interval(rs: RootSystem, w_word: Sequence[int]) -> frozenset:
     """{v : v <= w} via the subword property on one fixed reduced word.
 
-    Dynamic programming over prefixes: extend each collected element by the
-    next letter only when that increases length, which enumerates exactly
-    the products of reduced subwords.
+    Dynamic programming over suffixes, on the vectors y = v(rho): prepend
+    the next letter i to each collected v only when that increases length
+    (y[i] > 0), giving s_i(y); this enumerates exactly the products of
+    reduced subwords.
     """
     bad = unreduced_prefix(rs, w_word)
     if bad is not None:
@@ -348,16 +340,11 @@ def lower_interval(rs: RootSystem, w_word: Sequence[int]) -> frozenset:
     got = rs._caches.get(key)
     if got is not None:
         return got
-    refl = _reflection_matrices(rs)
-    current = {identity(rs)}
-    for i in w_word:
-        alpha = rs.simple_roots[i]
-        grown = set()
-        for v in current:
-            if not rs.is_negative_root(v.apply(alpha)):
-                grown.add(v @ refl[i])
-        current |= grown
-    result = frozenset(current)
+    roots = rs.simple_roots
+    current = {rs.rho}
+    for i in reversed(w_word):
+        current |= {_reflect(y, i, roots) for y in current if y[i] > 0}
+    result = frozenset(_element(rs, y) for y in current)
     rs._caches[key] = result
     return result
 
@@ -371,10 +358,9 @@ def bruhat_leq(rs: RootSystem, v: WeylElement, w_word: Sequence[int]) -> bool:
 
 
 def alpha0_criterion(rs: RootSystem, w: WeylElement) -> bool:
-    """True iff w^{-1}(alpha_0) is a negative root; equivalently some
-    positive root is sent to -alpha_0 by w."""
-    target = tuple(-c for c in rs.highest_root.weight)
-    return any(tuple(w.apply(beta.weight)) == target for beta in rs.positive_roots)
+    """True iff w^{-1}(alpha_0) is a negative root, read as
+    <w(rho), alpha_0^vee> = <rho, w^{-1}(alpha_0)^vee> < 0."""
+    return rs.coroot_pairing(w.x, rs.highest_root) < 0
 
 
 # -- whole-group enumeration (small ranks) -----------------------------
@@ -402,27 +388,32 @@ def weyl_order(rs: RootSystem) -> int:
 
 
 def all_elements(rs: RootSystem) -> list:
-    """Every element of W, sorted by (length, matrix) for determinism.
+    """Every element of W, sorted by (length, action matrix) for
+    determinism.
 
-    Breadth-first closure under right multiplication; only sensible at
-    small rank (the list has weyl_order(rs) entries).
+    Breadth-first closure of the vectors w(rho) under the simple
+    reflections, so each level holds the elements of one length; only
+    sensible at small rank (the list has weyl_order(rs) entries).
     """
     got = rs._caches.get("elements")
     if got is not None:
         return got
-    refl = _reflection_matrices(rs)
-    seen = {identity(rs)}
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for w in frontier:
-            for s in refl:
-                nxt = w @ s
-                if nxt not in seen:
-                    seen.add(nxt)
-                    new.append(nxt)
-        frontier = new
-    ordered = sorted(seen, key=lambda w: (length(rs, w), w.matrix))
+    roots, n = rs.simple_roots, rs.rank
+    basis = [tuple(int(j == k) for k in range(n)) for j in range(n)]
+    seen = {rs.rho}
+    level = [rs.rho]
+    ordered = []
+    while level:
+        ordered += sorted((_element(rs, y) for y in level),
+                          key=lambda w: tuple(zip(*map(w.apply, basis))))
+        grown = []
+        for y in level:
+            for i in range(n):
+                z = _reflect(y, i, roots)
+                if z not in seen:
+                    seen.add(z)
+                    grown.append(z)
+        level = grown
     if len(ordered) != weyl_order(rs):
         raise AssertionError("group closure does not match the classical order")
     rs._caches["elements"] = ordered

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from operator import mul
 from typing import Sequence
 
 from bsdh.characters import Character
@@ -56,32 +57,167 @@ def demazure_step_rational(rs: RootSystem, i: int, chi: Character) -> Character:
     return Character(out)
 
 
+# -- Weyl group elements as action matrices --------------------------------
+#
+# The library represents an element w by the vector w(rho).  These oracles
+# use the integer matrix of w on fundamental-weight coordinates instead,
+# built from products of simple-reflection matrices.  A library element is
+# turned into its matrix only through its defining vector: the oracle's own
+# group closure is looked up by M(rho).
+
+
+def reflection_matrices(cartan: tuple) -> tuple:
+    """S_i with (S_i lam)_k = lam_k - cartan[k][i] lam_i, i.e.
+    lam - <lam, alpha_i^vee> alpha_i."""
+    n = len(cartan)
+    mats = []
+    for i in range(n):
+        rows = []
+        for k in range(n):
+            row = [int(k == j) for j in range(n)]
+            row[i] -= cartan[k][i]
+            rows.append(tuple(row))
+        mats.append(tuple(rows))
+    return tuple(mats)
+
+
+def matmul(a: tuple, b: tuple) -> tuple:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def mat_apply(m: tuple, lam) -> tuple:
+    return tuple(sum(row[j] * lam[j] for j in range(len(row))) for row in m)
+
+
+def mat_identity(n: int) -> tuple:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def matrix_of_word(rs: RootSystem, word: Sequence[int]) -> tuple:
+    """S_{i_1} ... S_{i_r}."""
+    refl = reflection_matrices(rs.cartan)
+    m = mat_identity(rs.rank)
+    for i in word:
+        m = matmul(m, refl[i])
+    return m
+
+
+@lru_cache(maxsize=None)
+def _group(cartan: tuple) -> dict:
+    """{matrix: a word for it} over all of W, by closure under right
+    multiplication by reflection matrices, breadth first (so each word is
+    reduced)."""
+    refl = reflection_matrices(cartan)
+    words = {mat_identity(len(cartan)): ()}
+    frontier = list(words)
+    while frontier:
+        grown = []
+        for m in frontier:
+            for i, s in enumerate(refl):
+                nxt = matmul(m, s)
+                if nxt not in words:
+                    words[nxt] = words[m] + (i,)
+                    grown.append(nxt)
+        frontier = grown
+    return words
+
+
+@lru_cache(maxsize=None)
+def _group_by_rho(cartan: tuple) -> dict:
+    rho = (1,) * len(cartan)
+    return {mat_apply(m, rho): m for m in _group(cartan)}
+
+
+def group_words(rs: RootSystem) -> dict:
+    """{matrix: a reduced word} for every element of W."""
+    return _group(rs.cartan)
+
+
+def matrix_of(rs: RootSystem, w: weyl.WeylElement) -> tuple:
+    """The action matrix of a library element, found by its vector w(rho)."""
+    return _group_by_rho(rs.cartan)[tuple(w.x)]
+
+
+def mat_inversions(rs: RootSystem, m: tuple) -> set:
+    """R+(w) = {beta in R+ : M beta in R-}."""
+    return {beta for beta in rs.positive_roots
+            if rs.is_negative_root(mat_apply(m, beta.weight))}
+
+
+def mat_right_descents(rs: RootSystem, m: tuple) -> list:
+    return [i for i in range(rs.rank)
+            if rs.is_negative_root(mat_apply(m, rs.simple_roots[i]))]
+
+
+def mat_canonical_word(rs: RootSystem, m: tuple) -> tuple:
+    """Strip the smallest right descent until the identity, then reverse."""
+    refl = reflection_matrices(rs.cartan)
+    rev = []
+    while True:
+        ds = mat_right_descents(rs, m)
+        if not ds:
+            return tuple(reversed(rev))
+        rev.append(ds[0])
+        m = matmul(m, refl[ds[0]])
+
+
+def mat_length(rs: RootSystem, m: tuple) -> int:
+    """The length of the breadth-first word for m: its distance from e."""
+    return len(group_words(rs)[m])
+
+
+def mat_unreduced_prefix(rs: RootSystem, word: Sequence[int]):
+    """The shortest prefix whose product is shorter than the prefix itself."""
+    refl = reflection_matrices(rs.cartan)
+    m = mat_identity(rs.rank)
+    for k, i in enumerate(word, 1):
+        m = matmul(m, refl[i])
+        if mat_length(rs, m) < k:
+            return tuple(word[:k])
+    return None
+
+
+def subword_products(rs: RootSystem, word: Sequence[int]) -> set:
+    """The matrices of all 2^r subwords of the word; for a reduced word
+    these are exactly the elements below it in Bruhat order."""
+    refl = reflection_matrices(rs.cartan)
+    products = {mat_identity(rs.rank)}
+    for i in word:
+        products |= {matmul(m, refl[i]) for m in products}
+    return products
+
+
 def count_reduced_words(rs: RootSystem, w: weyl.WeylElement) -> int:
     """Descent recursion c(e) = 1, c(w) = sum over right descents of c(ws_i)."""
+    refl = reflection_matrices(rs.cartan)
 
     @lru_cache(maxsize=None)
-    def rec(u: weyl.WeylElement) -> int:
-        descents = weyl.right_descents(rs, u)
+    def rec(m: tuple) -> int:
+        descents = mat_right_descents(rs, m)
         if not descents:
             return 1
-        return sum(rec(u @ weyl.simple_reflection(rs, i)) for i in descents)
+        return sum(rec(matmul(m, refl[i])) for i in descents)
 
-    return rec(w)
+    return rec(matrix_of(rs, w))
 
 
 def reduced_words_by_filter(rs: RootSystem, w: weyl.WeylElement) -> list:
     """Every word of length l(w) whose matrix product is w.  Words of that
     length are produced in lexicographic order, so the list is too.  Each
     product is its prefix's product times one reflection matrix."""
+    refl = reflection_matrices(rs.cartan)
+    target = matrix_of(rs, w)
 
     @lru_cache(maxsize=None)
-    def from_word(word: tuple) -> weyl.WeylElement:
+    def product_of(word: tuple) -> tuple:
         if not word:
-            return weyl.identity(rs)
-        return from_word(word[:-1]) @ weyl.simple_reflection(rs, word[-1])
+            return mat_identity(rs.rank)
+        return matmul(product_of(word[:-1]), refl[word[-1]])
 
-    return [word for word in product(range(rs.rank), repeat=weyl.length(rs, w))
-            if from_word(word) == w]
+    length = len(mat_inversions(rs, target))
+    return [word for word in product(range(rs.rank), repeat=length)
+            if product_of(word) == target]
 
 
 def weyl_dimension(rs: RootSystem, lam: Sequence[int]) -> int:
@@ -108,15 +244,10 @@ def bruhat_leq_subword(rs: RootSystem, v: weyl.WeylElement,
                        w_word: Sequence[int]) -> bool:
     """v <= w iff some subword of a reduced word of w multiplies to v."""
     word = tuple(w_word)
-    target_len = weyl.length(rs, v)
-    for r in range(len(word) + 1):
-        if r != target_len:
-            continue
-        for positions in combinations(range(len(word)), r):
-            sub = tuple(word[p] for p in positions)
-            if weyl.from_word(rs, sub) == v:
-                return True
-    return False
+    target = matrix_of(rs, v)
+    r = len(mat_inversions(rs, target))
+    return any(matrix_of_word(rs, [word[p] for p in positions]) == target
+               for positions in combinations(range(len(word)), r))
 
 
 def w0_classes_by_enumeration(rs: RootSystem) -> dict:

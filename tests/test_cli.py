@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import bsdh
+from bsdh import cli, weyl
 from bsdh.cli import main
 
 
@@ -142,6 +143,34 @@ def test_words_tsv(run):
     assert res.output == "1,2,1\n2,1,2\n"
 
 
+def test_words_tsv_has_the_json_words(run):
+    words = json.loads(run("words", "-t", "B3").output)["words"]
+    res = run("words", "-t", "B3", "--format", "tsv")
+    assert res.output == "".join(w + "\n" for w in words)
+
+
+def test_words_tsv_is_written_as_it_streams(run, monkeypatch, tmp_path):
+    # a stream that fails after three words must already have written them
+    class StreamBroke(Exception):
+        pass
+
+    real_stream = weyl.reduced_words
+
+    def failing_stream(rs, w, **_):
+        yield from real_stream(rs, w, limit=3)
+        raise StreamBroke
+
+    monkeypatch.setattr(cli.weyl, "reduced_words", failing_stream)
+    expected = "1,2,1,3,2,1\n1,2,3,1,2,1\n1,2,3,2,1,2\n"
+    res = run("words", "-t", "A3", "--format", "tsv")
+    assert isinstance(res.exception, StreamBroke)
+    assert res.stdout == expected
+    out = tmp_path / "words.tsv"
+    res = run("words", "-t", "A3", "--format", "tsv", "-o", str(out))
+    assert isinstance(res.exception, StreamBroke)
+    assert out.read_text() == expected
+
+
 # -- aut --------------------------------------------------------------------
 
 def test_aut_exact_parabolic(run):
@@ -268,6 +297,15 @@ def test_verify_allow_large_lifts_the_cap(run):
                  "--allow-large")
     assert lifted.exit_code == 0
     assert json.loads(lifted.output)["cases"] == 16
+
+
+@pytest.mark.parametrize("flag,value", [("--cases", "-5"), ("--weights", "-3"),
+                                        ("--sample", "-1"), ("--cap", "-1")])
+def test_verify_negative_counts_are_input_errors(run, flag, value):
+    res = run("verify", "--suite", "operators", "-t", "A2", flag, value)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "not in the range" in res.stderr
 
 
 def test_verify_unknown_suite_rejected_by_click(run):

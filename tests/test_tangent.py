@@ -115,6 +115,16 @@ def test_tangent_h0_equals_euler_value_in_simply_laced(rs):
         assert tangent_h0_char(b).total == tangent_euler_char(b).total
 
 
+def test_horner_total_is_the_sum_of_the_per_prefix_strings(rs):
+    # total is computed by Horner's rule, per_step one prefix at a time
+    for name in ("A3", "B3", "G2"):
+        system = rs(name)
+        for w in weyl.all_elements(system)[::5]:
+            rep = tangent_euler_char(BsdhWord(system, weyl.canonical_word(system, w)))
+            assert len(rep.per_step) == len(rep.word)
+            assert sum(rep.per_step, Character.zero()) == rep.total
+
+
 def test_tangent_zero_mult_equals_d_simply_laced(rs):
     a2 = rs("A2")
     for w in weyl.all_elements(a2):

@@ -7,6 +7,7 @@ import pytest
 from bsdh.roots import RootSystem, Weight
 from bsdh import weyl
 
+import oracles
 from oracles import (bruhat_leq_subword, count_reduced_words,
                      reduced_words_by_filter)
 
@@ -224,3 +225,45 @@ def test_parse_and_format_word():
         weyl.parse_word("1,x", 3)
     with pytest.raises(ValueError):
         weyl.parse_word("0,1", 3)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "D4"])
+def test_elements_against_the_matrix_oracle(rs, name):
+    """Every element, as a vector w(rho), against its action matrix."""
+    system = rs(name)
+    n = system.rank
+    basis = [tuple(int(j == k) for k in range(n)) for j in range(n)]
+    top = system.highest_root.weight
+    by_matrix = oracles.group_words(system)
+    elements = {m: weyl.from_word(system, word) for m, word in by_matrix.items()}
+    assert len(set(elements.values())) == len(elements) == weyl.weyl_order(system)
+
+    listed = [oracles.matrix_of(system, w) for w in weyl.all_elements(system)]
+    assert listed == sorted(by_matrix, key=lambda m: (oracles.mat_length(system, m), m))
+    assert weyl.identity(system).x == elements[oracles.mat_identity(n)].x
+    for i, s in enumerate(oracles.reflection_matrices(system.cartan)):
+        assert weyl.simple_reflection(system, i) == elements[s]
+    assert weyl.longest_element(system) == max(
+        elements.values(), key=lambda w: weyl.length(system, w))
+
+    # left factors for @: all of W up to 48 elements, every 4th one in D4
+    factors = list(elements.items())[:: max(1, len(elements) // 48)]
+    for m, word in by_matrix.items():
+        w = elements[m]
+        for lam in (*basis, system.rho):
+            assert w.apply(lam) == oracles.mat_apply(m, lam)
+        assert weyl.inversions(system, w) == oracles.mat_inversions(system, m)
+        assert weyl.length(system, w) == oracles.mat_length(system, m) == len(word)
+        assert weyl.right_descents(system, w) == oracles.mat_right_descents(system, m)
+        assert weyl.canonical_word(system, w) == oracles.mat_canonical_word(system, m)
+        assert weyl.alpha0_criterion(system, w) == any(
+            oracles.mat_apply(m, beta.weight) == tuple(-c for c in top)
+            for beta in system.positive_roots)
+        for i in range(n):
+            longer = (*word, i, *word)
+            assert weyl.unreduced_prefix(system, longer) \
+                == oracles.mat_unreduced_prefix(system, longer)
+        below = {elements[v] for v in oracles.subword_products(system, word)}
+        assert weyl.lower_interval(system, word) == below
+        for v, u in factors:
+            assert u @ w == elements[oracles.matmul(v, m)]
