@@ -284,11 +284,10 @@ def reduced_words(rs: RootSystem, w: WeylElement, limit: Optional[int] = None,
     truncates the stream; truncation is visible by comparing against
     count_words, not an error.
     """
-    x = w.x
-    total = _count(rs, x)
+    total = _count(rs, w.x)
     if total > cap and not allow_large:
         raise WordCapExceeded(total, cap)
-    yield from islice(_walk(rs, x), limit)
+    yield from islice(_walk(rs, w.x), limit)
 
 
 def canonical_word(rs: RootSystem, w: WeylElement) -> tuple:

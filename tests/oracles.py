@@ -63,19 +63,19 @@ def demazure_step_rational(rs: RootSystem, i: int, chi: Character) -> Character:
 # use the integer matrix of w on fundamental-weight coordinates instead,
 # built from products of simple-reflection matrices.  A library element is
 # turned into its matrix only through its defining vector: the oracle's own
-# group closure is looked up by M(rho).
+# group closure is searched for the M with M(rho) = w(rho).
 
 
-def reflection_matrices(cartan: tuple) -> tuple:
+def reflection_matrices(rs: RootSystem) -> tuple:
     """S_i with (S_i lam)_k = lam_k - cartan[k][i] lam_i, i.e.
     lam - <lam, alpha_i^vee> alpha_i."""
-    n = len(cartan)
+    n = rs.rank
     mats = []
     for i in range(n):
         rows = []
         for k in range(n):
             row = [int(k == j) for j in range(n)]
-            row[i] -= cartan[k][i]
+            row[i] -= rs.cartan[k][i]
             rows.append(tuple(row))
         mats.append(tuple(rows))
     return tuple(mats)
@@ -96,20 +96,19 @@ def mat_identity(n: int) -> tuple:
 
 def matrix_of_word(rs: RootSystem, word: Sequence[int]) -> tuple:
     """S_{i_1} ... S_{i_r}."""
-    refl = reflection_matrices(rs.cartan)
+    refl = reflection_matrices(rs)
     m = mat_identity(rs.rank)
     for i in word:
         m = matmul(m, refl[i])
     return m
 
 
-@lru_cache(maxsize=None)
-def _group(cartan: tuple) -> dict:
+def group_words(rs: RootSystem) -> dict:
     """{matrix: a word for it} over all of W, by closure under right
     multiplication by reflection matrices, breadth first (so each word is
     reduced)."""
-    refl = reflection_matrices(cartan)
-    words = {mat_identity(len(cartan)): ()}
+    refl = reflection_matrices(rs)
+    words = {mat_identity(rs.rank): ()}
     frontier = list(words)
     while frontier:
         grown = []
@@ -123,20 +122,10 @@ def _group(cartan: tuple) -> dict:
     return words
 
 
-@lru_cache(maxsize=None)
-def _group_by_rho(cartan: tuple) -> dict:
-    rho = (1,) * len(cartan)
-    return {mat_apply(m, rho): m for m in _group(cartan)}
-
-
-def group_words(rs: RootSystem) -> dict:
-    """{matrix: a reduced word} for every element of W."""
-    return _group(rs.cartan)
-
-
 def matrix_of(rs: RootSystem, w: weyl.WeylElement) -> tuple:
     """The action matrix of a library element, found by its vector w(rho)."""
-    return _group_by_rho(rs.cartan)[tuple(w.x)]
+    x = tuple(w.x)
+    return next(m for m in group_words(rs) if mat_apply(m, rs.rho) == x)
 
 
 def mat_inversions(rs: RootSystem, m: tuple) -> set:
@@ -152,7 +141,7 @@ def mat_right_descents(rs: RootSystem, m: tuple) -> list:
 
 def mat_canonical_word(rs: RootSystem, m: tuple) -> tuple:
     """Strip the smallest right descent until the identity, then reverse."""
-    refl = reflection_matrices(rs.cartan)
+    refl = reflection_matrices(rs)
     rev = []
     while True:
         ds = mat_right_descents(rs, m)
@@ -162,26 +151,22 @@ def mat_canonical_word(rs: RootSystem, m: tuple) -> tuple:
         m = matmul(m, refl[ds[0]])
 
 
-def mat_length(rs: RootSystem, m: tuple) -> int:
-    """The length of the breadth-first word for m: its distance from e."""
-    return len(group_words(rs)[m])
-
-
 def mat_unreduced_prefix(rs: RootSystem, word: Sequence[int]):
-    """The shortest prefix whose product is shorter than the prefix itself."""
-    refl = reflection_matrices(rs.cartan)
+    """The shortest prefix u s_i with u(alpha_i) negative, i.e. shorter
+    than u."""
+    refl = reflection_matrices(rs)
     m = mat_identity(rs.rank)
-    for k, i in enumerate(word, 1):
+    for k, i in enumerate(word):
+        if rs.is_negative_root(mat_apply(m, rs.simple_roots[i])):
+            return tuple(word[: k + 1])
         m = matmul(m, refl[i])
-        if mat_length(rs, m) < k:
-            return tuple(word[:k])
     return None
 
 
 def subword_products(rs: RootSystem, word: Sequence[int]) -> set:
     """The matrices of all 2^r subwords of the word; for a reduced word
     these are exactly the elements below it in Bruhat order."""
-    refl = reflection_matrices(rs.cartan)
+    refl = reflection_matrices(rs)
     products = {mat_identity(rs.rank)}
     for i in word:
         products |= {matmul(m, refl[i]) for m in products}
@@ -190,7 +175,7 @@ def subword_products(rs: RootSystem, word: Sequence[int]) -> set:
 
 def count_reduced_words(rs: RootSystem, w: weyl.WeylElement) -> int:
     """Descent recursion c(e) = 1, c(w) = sum over right descents of c(ws_i)."""
-    refl = reflection_matrices(rs.cartan)
+    refl = reflection_matrices(rs)
 
     @lru_cache(maxsize=None)
     def rec(m: tuple) -> int:
@@ -206,7 +191,7 @@ def reduced_words_by_filter(rs: RootSystem, w: weyl.WeylElement) -> list:
     """Every word of length l(w) whose matrix product is w.  Words of that
     length are produced in lexicographic order, so the list is too.  Each
     product is its prefix's product times one reflection matrix."""
-    refl = reflection_matrices(rs.cartan)
+    refl = reflection_matrices(rs)
     target = matrix_of(rs, w)
 
     @lru_cache(maxsize=None)
