@@ -162,7 +162,7 @@ class RootSystem:
         )
         self._root_by_weight = {r.weight: r for r in positive_roots}
         self._cartan_inverse = _invert(cartan)
-        # scratch caches used by the weyl module (keyed by vectors w(rho))
+        # caches used by the weyl module (keyed by vectors w(rho))
         self._caches: dict = {}
 
     @classmethod
