@@ -22,11 +22,12 @@ nonempty iff the criterion holds); it is wired to the same predicate by
 construction and recorded separately only so reports surface both
 phrasings.
 
-classify_all_w0 counts the reduced words of w_0 in each J-set class by
-dynamic programming over (prefix element, J), without listing a single
-word, so F4 (over two million words) and E6 (about 1.3e15) are in reach;
-the cost grows with the group order, not the word count.  The cap
-guardrail still bounds the word count unless allow_large is set.
+classify_all_w0 counts the reduced words of w_0 in each J-set class in
+one sweep over the group, one length at a time, without listing a single
+word, so F4 (over two million words), E6 (about 1.3e15) and E7 (about
+1.2e30) are in reach; the cost grows with the group order, not the word
+count.  The cap guardrail still bounds the word count unless allow_large
+is set, and refuses as soon as a level of the sweep passes it.
 """
 
 from __future__ import annotations
@@ -108,8 +109,8 @@ def classify(b: BsdhWord, cap: int = weyl.DEFAULT_WORD_CAP) -> AutReport:
     elif simply and crit:
         status = STATUS_EXACT
         # completions are the reduced words of u^{-1} w_0
-        if weyl._count(rs, weyl._rest_to_w0(rs, b.word)) <= cap:
-            for j_word in weyl.completions_to_w0(rs, b.word, cap=cap):
+        if weyl._count(rs, weyl._rest_to_w0(rs, b.word), cap) <= cap:
+            for j_word in weyl.completions_to_w0(rs, b.word, allow_large=True):
                 checked += 1
                 full = BsdhWord(rs, j_word)
                 if full.J != b.J:
@@ -153,55 +154,46 @@ def classify_all_w0(rs: RootSystem, cap: int = weyl.DEFAULT_WORD_CAP,
 
     A letter joins J exactly when it first enters the support and is
     orthogonal to every letter already there, so J depends only on the
-    order in which letters enter, and is final once the support is full.
-    A forward dynamic program over (prefix element u, J) extends u by its
-    right ascents, carrying how many reduced prefixes reach each state.
-    When supp(u) becomes full the state freezes: every ascending path from
-    u to w_0 completes it, and those are counted by the reduced words of
-    u^{-1} w_0.
+    order in which letters enter.  One sweep extends each prefix element u
+    by its right ascents, one length at a time, from e up to w_0, carrying
+    supp(u) and how many reduced prefixes of u have each J; only two
+    levels are held.  At w_0 that state is the table, and its sum is the
+    word count.
 
     Each u is keyed by the vector z = (u^{-1} w_0)(rho) = -u^{-1}(rho) of
-    that remainder, so no Weyl-element product is taken: the right ascents
+    the remainder, so no Weyl-element product is taken: the right ascents
     i of u are the left descents of u^{-1} w_0 (z[i] < 0), u s_i has
-    vector s_i(z), and a frozen state's completions are counted at z.
-    The cap still applies to the number of words classified.
+    vector s_i(z), and the sweep runs from -rho down to rho.  A level's
+    sum counts the reduced prefixes of that length, which never falls, so
+    unless ``allow_large`` is set the sweep stops with WordCapExceeded at
+    the first level whose sum passes ``cap``.
     """
     n = rs.rank
-    top = tuple(-c for c in rs.rho)   # u = e: the remainder is w_0
-    total = weyl._count(rs, top)
-    if total > cap and not allow_large:
-        raise weyl.WordCapExceeded(total, cap)
-
-    full = (1 << n) - 1
     # bit mask of the letters orthogonal to letter i
     orth = [sum(1 << k for k in range(n) if rs.cartan[i][k] == 0)
             for i in range(n)]
-    # z -> (supp(u) mask, {J mask: reduced prefixes of u with that J})
-    level = {top: (0, {0: 1})}
-    frozen: dict = {}   # z of u with full support -> {J mask: prefixes}
-    while level:
+    # z -> (supp(u) mask, {J mask: reduced prefixes of u with that J});
+    # u = e first, whose remainder is w_0
+    level = {tuple(-c for c in rs.rho): (0, {0: 1})}
+    while rs.rho not in level:
         grown: dict = {}
         for z, (supp, by_J) in level.items():
             for i, z_next in weyl._descents(rs, z):
                 bit = 1 << i
                 joins = not supp & bit and not supp & ~orth[i]
-                supp_next = supp | bit
-                target = frozen.setdefault(z_next, {}) if supp_next == full \
-                    else grown.setdefault(z_next, (supp_next, {}))[1]
+                target = grown.setdefault(z_next, (supp | bit, {}))[1]
                 for J, c in by_J.items():
                     J_next = J | bit if joins else J
                     target[J_next] = target.get(J_next, 0) + c
         level = grown
+        if not allow_large and sum(
+                c for _, by_J in level.values() for c in by_J.values()) > cap:
+            raise weyl.WordCapExceeded(cap)
 
-    buckets: dict = {}
-    for z, by_J in frozen.items():
-        rest = weyl._count(rs, z)
-        for J, c in by_J.items():
-            key = tuple(k for k in range(n) if J >> k & 1)
-            buckets[key] = buckets.get(key, 0) + c * rest
-    if sum(buckets.values()) != total:
-        raise AssertionError("J-classes do not sum to the word count")
-    return W0Classes(rs=rs, total_words=total, buckets=buckets)
+    (_, by_J), = level.values()   # u = w_0, at z = rho
+    buckets = {tuple(k for k in range(n) if J >> k & 1): c
+               for J, c in by_J.items()}
+    return W0Classes(rs=rs, total_words=sum(buckets.values()), buckets=buckets)
 
 
 # -- verification suites ----------------------------------------------

@@ -144,6 +144,7 @@ def cmd_roots(type_name: str, fmt: str, output: Optional[str]) -> None:
 @click.option("--word", "-w", "word_text", default=None,
               help="Element, as any word for it (default: the longest element).")
 @click.option("--cap", default=weyl.DEFAULT_WORD_CAP, show_default=True,
+              type=click.IntRange(min=0),
               help="Refuse enumeration beyond this many words.")
 @click.option("--allow-large", is_flag=True,
               help="Enumerate even past the cap.")
@@ -160,11 +161,10 @@ def cmd_words(type_name: str, word_text: Optional[str], cap: int,
         element = weyl.longest_element(rs)
     else:
         element = weyl.from_word(rs, _parse_word(rs, word_text))
-    total = weyl.count_words(rs, element)
     words = weyl.reduced_words(rs, element, limit=limit, cap=cap,
                                allow_large=allow_large)
     try:
-        # the cap check runs at the first word, before any output
+        # the cap check runs at the first word, before any output or count
         head = list(islice(words, 1))
     except weyl.WordCapExceeded as exc:
         _fail(str(exc))
@@ -175,6 +175,7 @@ def cmd_words(type_name: str, word_text: Optional[str], cap: int,
                 fh.write(weyl.format_word(w) + "\n")
         return
     stream = head + list(words)
+    total = weyl.count_words(rs, element)
     payload = {
         "type": str(rs.cartan_type),
         "element": weyl.format_word(weyl.canonical_word(rs, element)),
@@ -191,6 +192,7 @@ def cmd_words(type_name: str, word_text: Optional[str], cap: int,
 @click.option("--word", "-w", "word_text", required=True,
               help="Reduced word, 1-based letters, e.g. 1,2,1,3,2,1.")
 @click.option("--cap", default=weyl.DEFAULT_WORD_CAP, show_default=True,
+              type=click.IntRange(min=0),
               help="Cap for the completion cross-check enumeration.")
 @output_option
 def cmd_aut(type_name: str, word_text: str, cap: int,
@@ -251,6 +253,7 @@ def cmd_kernel(type_name: str, word_text: str, completion_text: str,
 @main.command("classify-w0")
 @type_option
 @click.option("--cap", default=weyl.DEFAULT_WORD_CAP, show_default=True,
+              type=click.IntRange(min=0),
               help="Refuse runs with more w_0 words than this.")
 @click.option("--allow-large", is_flag=True)
 @output_option

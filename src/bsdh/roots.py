@@ -162,7 +162,8 @@ class RootSystem:
         )
         self._root_by_weight = {r.weight: r for r in positive_roots}
         self._cartan_inverse = _invert(cartan)
-        # caches used by the weyl module (keyed by vectors w(rho))
+        # the weyl module's lower intervals (key ("interval", word)) and
+        # whole-group list (key "elements")
         self._caches: dict = {}
 
     @classmethod

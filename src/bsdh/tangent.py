@@ -44,6 +44,7 @@ The combinatorial sets attached to a word:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .roots import RootSystem, dominance_leq
@@ -94,6 +95,18 @@ class BsdhWord:
 
     def __repr__(self) -> str:
         return f"BsdhWord({self.rs.cartan_type}, {weyl.format_word(self.word)!r})"
+
+    @cached_property
+    def tangent_sum(self) -> Character:
+        """sum over j of D_{i_1} ... D_{i_j}(e^{alpha_{i_j}}), by Horner's rule:
+        D_{i_1}(e^{alpha_{i_1}} + D_{i_2}(e^{alpha_{i_2}} + ... D_{i_r}(e^{alpha_{i_r}}))),
+        which takes r Demazure steps instead of r(r+1)/2.  Taken once per
+        word; every tangent report and h1_w0_char read it."""
+        rs = self.rs
+        total = Character.zero()
+        for i in reversed(self.word):
+            total = demazure_step(rs, i, total + Character.monomial(rs.simple_roots[i]))
+        return total
 
 
 @dataclass
@@ -147,17 +160,6 @@ class TangentReport:
         }
 
 
-def _tangent_sum(b: BsdhWord) -> Character:
-    """sum over j of D_{i_1} ... D_{i_j}(e^{alpha_{i_j}}), by Horner's rule:
-    D_{i_1}(e^{alpha_{i_1}} + D_{i_2}(e^{alpha_{i_2}} + ... D_{i_r}(e^{alpha_{i_r}}))),
-    which takes r Demazure steps instead of r(r+1)/2."""
-    rs = b.rs
-    total = Character.zero()
-    for i in reversed(b.word):
-        total = demazure_step(rs, i, total + Character.monomial(rs.simple_roots[i]))
-    return total
-
-
 def tangent_euler_char(b: BsdhWord) -> TangentReport:
     """chi(Z(w,i), T) as a sum of one Demazure string per tower level.
 
@@ -165,7 +167,7 @@ def tangent_euler_char(b: BsdhWord) -> TangentReport:
     relative-tangent filtration regardless of vanishing.
     """
     return TangentReport(rs=b.rs, word=b.word, mode=MODE_EULER,
-                         total=_tangent_sum(b), J=b.J, supp=b.supp, d=b.d)
+                         total=b.tangent_sum, J=b.J, supp=b.supp, d=b.d)
 
 
 def tangent_h0_char(b: BsdhWord) -> TangentReport:
@@ -180,7 +182,7 @@ def tangent_h0_char(b: BsdhWord) -> TangentReport:
             f"{b.rs.cartan_type} is not simply laced, so the Euler sum is not "
             "known to equal the section character; use tangent_euler_char")
     return TangentReport(rs=b.rs, word=b.word, mode=MODE_H0,
-                         total=_tangent_sum(b), J=b.J, supp=b.supp, d=b.d)
+                         total=b.tangent_sum, J=b.J, supp=b.supp, d=b.d)
 
 
 def h1_w0_char(b: BsdhWord) -> Character:
@@ -197,7 +199,7 @@ def h1_w0_char(b: BsdhWord) -> Character:
         raise ValueError("word does not multiply to the longest element; "
                          "H^1 is only determined there")
     p_J = reference_chars(b.rs, b.J).char_p_J
-    return p_J - tangent_euler_char(b).total
+    return p_J - b.tangent_sum
 
 
 def schubert_tangent_char(rs: RootSystem, w: "weyl.WeylElement") -> Character:

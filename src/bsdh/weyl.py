@@ -17,10 +17,12 @@ and :func:`parse_word`.
 The words of w are i followed by a word of s_i w, over the left descents i
 in ascending order, so a depth-first walk on x emits them in lexicographic
 order with no sorting and memory bounded by the elements it has visited.
-Because word counts explode in high rank (the F4 longest element already
-has over two million reduced words), enumeration is guarded by an exact
-pre-count with a configurable cap; exceeding the cap requires an explicit
-opt-in.
+Words are counted by sweeping down the left descents one length at a time,
+holding two levels.  Because word counts explode in high rank (the F4
+longest element already has over two million reduced words), enumeration
+is guarded by a cap that the sweep checks as it goes, so an element far
+past the cap is refused in a few levels; exceeding the cap requires an
+explicit opt-in.
 """
 
 from __future__ import annotations
@@ -62,12 +64,11 @@ DEFAULT_WORD_CAP = 1_000_000
 class WordCapExceeded(RuntimeError):
     """Raised when an enumeration would exceed the configured word cap."""
 
-    def __init__(self, count: int, cap: int):
+    def __init__(self, cap: int):
         super().__init__(
-            f"element has {count} reduced words, exceeding the cap of {cap}; "
+            f"element has more than {cap} reduced words; "
             "pass allow_large=True (CLI: --allow-large) to enumerate anyway"
         )
-        self.count = count
         self.cap = cap
 
 
@@ -212,34 +213,28 @@ def _descents(rs: RootSystem, x: tuple) -> list:
             for i, c in enumerate(x) if c < 0]
 
 
-def _count(rs: RootSystem, x: tuple) -> int:
-    """Reduced words of the element with vector x, memoized by vector in
-    ``rs._caches["count"]``: c(e) = 1, c(w) = sum of c(s_i w) over the left
-    descents i of w.
+def _count(rs: RootSystem, x: tuple, cap: Optional[int] = None) -> int:
+    """Reduced words of the element with vector x, by a sweep down its left
+    descents one length at a time.  A level maps each vector y to the
+    number of descent paths from x to y; the last level is {rho: count}.
 
-    The recursion runs on an explicit stack, so a call leaves no reference
-    cycle that would keep ``rs`` (and the memo in its caches) alive after
-    it returns.
+    Every path crosses each level once and only e has no descent, so a
+    level's sum never falls and bounds the count from below.  With ``cap``
+    set the sweep stops at the first level whose sum passes it, so the
+    result exceeds ``cap`` exactly when the count does.
     """
-    memo = rs._caches.setdefault("count", {})
-    # (vector, its descent vectors once expanded); a vector is summed when
-    # it is popped the second time, after everything below it
-    stack = [(x, None)]
-    while stack:
-        y, below = stack.pop()
-        if y in memo:
-            continue
-        if below is None:
-            below = [z for _, z in _descents(rs, y)]
-            stack.append((y, below))
-            stack.extend((z, None) for z in below if z not in memo)
-        else:
-            memo[y] = sum(memo[z] for z in below) if below else 1
-    return memo[x]
+    level = {x: 1}
+    while rs.rho not in level and (cap is None or sum(level.values()) <= cap):
+        grown: dict = {}
+        for y, c in level.items():
+            for _, z in _descents(rs, y):
+                grown[z] = grown.get(z, 0) + c
+        level = grown
+    return sum(level.values())
 
 
 def count_words(rs: RootSystem, w: WeylElement) -> int:
-    """Number of reduced words of w, by the memoized descent recursion."""
+    """Number of reduced words of w, by the level sweep of _count."""
     return _count(rs, w.x)
 
 
@@ -277,16 +272,15 @@ def reduced_words(rs: RootSystem, w: WeylElement, limit: Optional[int] = None,
                   allow_large: bool = False) -> Iterator[tuple]:
     """Stream every reduced word of w exactly once, lexicographically.
 
-    An exact pre-count runs at the first ``next()``; if it exceeds ``cap``
-    the stream raises WordCapExceeded unless ``allow_large`` is set.  The
-    words are produced lazily, so taking a few of them costs a few walks
-    down from w, not the whole list.  ``limit`` (a nonnegative int or None)
+    Unless ``allow_large`` is set, the first ``next()`` counts the words
+    up to ``cap`` and raises WordCapExceeded if there are more.  The words
+    are produced lazily, so taking a few of them costs a few walks down
+    from w, not the whole list.  ``limit`` (a nonnegative int or None)
     truncates the stream; truncation is visible by comparing against
     count_words, not an error.
     """
-    total = _count(rs, w.x)
-    if total > cap and not allow_large:
-        raise WordCapExceeded(total, cap)
+    if not allow_large and _count(rs, w.x, cap) > cap:
+        raise WordCapExceeded(cap)
     yield from islice(_walk(rs, w.x), limit)
 
 

@@ -134,6 +134,14 @@ def test_classify_all_w0_cap(rs):
     assert sum(classes.buckets.values()) == 16
 
 
+def test_classify_all_w0_cap_boundary(rs):
+    b3 = rs("B3")
+    with pytest.raises(weyl.WordCapExceeded):
+        classify_all_w0(b3, cap=41)
+    assert classify_all_w0(b3, cap=42).total_words == 42
+    assert "count" not in b3._caches
+
+
 @pytest.mark.parametrize("name", ["A2", "A3", "A4", "B2", "B3", "B4", "C3",
                                   "C4", "D4", "G2"])
 def test_classify_all_w0_matches_enumeration(rs, name):

@@ -99,27 +99,51 @@ def test_words_limit_zero(run):
     assert js["truncated"] is True
 
 
-def test_words_limit_streams_in_bounded_memory():
-    # D5's w_0 has over 13 million reduced words; the first three must not
-    # need them all in memory
-    limit = 2 << 30
+def _bsdh_limited(*args, address_space, timeout):
+    """Run python -m bsdh in a subprocess under an address-space limit in
+    bytes; a run past the timeout in seconds raises TimeoutExpired."""
 
     def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
     src = str(Path(bsdh.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "bsdh", "words", "-t", "D5", "--limit", "3",
-         "--allow-large"],
-        capture_output=True, text=True, env=env, timeout=120,
-        preexec_fn=cap_address_space)
+    return subprocess.run([sys.executable, "-m", "bsdh", *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout, preexec_fn=cap_address_space)
+
+
+def test_words_limit_streams_in_bounded_memory():
+    # D5's w_0 has over 13 million reduced words; the first three must not
+    # need them all in memory
+    proc = _bsdh_limited("words", "-t", "D5", "--limit", "3", "--allow-large",
+                         address_space=2 << 30, timeout=120)
     assert proc.returncode == 0, proc.stderr
     js = json.loads(proc.stdout)
     assert js["emitted"] == 3
     assert js["words"] == sorted(js["words"])
+
+
+@pytest.mark.parametrize("args", [("words", "-t", "E8", "--limit", "5"),
+                                  ("words", "-t", "E7", "--limit", "1"),
+                                  ("classify-w0", "-t", "E8")])
+def test_cap_refuses_huge_counts_quickly(args):
+    # E7 and E8 have about 1.2e30 and far more w_0 words; the cap check
+    # must refuse them without counting the whole group
+    proc = _bsdh_limited(*args, address_space=1 << 30, timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "more than 1000000 reduced words" in proc.stderr
+
+
+def test_words_tsv_allow_large_needs_no_count():
+    proc = _bsdh_limited("words", "-t", "E7", "--limit", "1", "--allow-large",
+                         "--format", "tsv", address_space=1 << 30, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    assert len(line.split(",")) == 63
 
 
 def test_words_explicit_element(run):
@@ -303,6 +327,16 @@ def test_verify_allow_large_lifts_the_cap(run):
                                         ("--sample", "-1"), ("--cap", "-1")])
 def test_verify_negative_counts_are_input_errors(run, flag, value):
     res = run("verify", "--suite", "operators", "-t", "A2", flag, value)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "not in the range" in res.stderr
+
+
+@pytest.mark.parametrize("args", [("words", "-t", "A2"),
+                                  ("aut", "-t", "A2", "-w", "1"),
+                                  ("classify-w0", "-t", "A2")])
+def test_negative_cap_is_an_input_error(run, args):
+    res = run(*args, "--cap", "-1")
     assert res.exit_code == 2
     assert res.stdout == ""
     assert "not in the range" in res.stderr

@@ -161,6 +161,25 @@ def test_h1_requires_longest(rs):
         h1_w0_char(BsdhWord(a2, (0, 1)))
 
 
+def test_h1_reuses_the_tangent_sum(rs, monkeypatch):
+    from bsdh import characters, tangent
+    steps = []
+    real_step = characters.demazure_step
+
+    def counting_step(*args):
+        steps.append(args[1])
+        return real_step(*args)
+
+    monkeypatch.setattr(characters, "demazure_step", counting_step)
+    monkeypatch.setattr(tangent, "demazure_step", counting_step)
+    b = BsdhWord(rs("B2"), (1, 0, 1, 0))
+    chi = tangent_euler_char(b).total
+    assert len(steps) == 4
+    h1 = h1_w0_char(b)
+    assert len(steps) == 4
+    assert h1 == reference_chars(b.rs, b.J).char_p_J - chi
+
+
 def test_h1_vanishes_simply_laced(rs):
     for name in ("A2", "A3"):
         system = rs(name)

@@ -143,6 +143,27 @@ def test_word_cap(rs):
     assert len(list(weyl.reduced_words(a3, w0, cap=5, allow_large=True))) == 16
 
 
+@pytest.mark.parametrize("name", ["A3", "B3", "G2"])
+def test_count_sweep_equals_the_oracle_and_saturates_at_the_cap(rs, name):
+    system = rs(name)
+    for w in weyl.all_elements(system):
+        c = count_reduced_words(system, w)
+        assert weyl._count(system, w.x) == c
+        for cap in {0, 1, c - 1, c}:
+            assert (weyl._count(system, w.x, cap) > cap) == (c > cap), (w, cap)
+    assert "count" not in system._caches
+
+
+def test_word_cap_message_states_a_lower_bound(rs):
+    b3 = rs("B3")
+    with pytest.raises(weyl.WordCapExceeded) as info:
+        next(weyl.reduced_words(b3, weyl.longest_element(b3), cap=41))
+    assert str(info.value) == (
+        "element has more than 41 reduced words; pass allow_large=True "
+        "(CLI: --allow-large) to enumerate anyway")
+    assert info.value.cap == 41
+
+
 def test_completions(rs):
     a2 = rs("A2")
     assert list(weyl.completions_to_w0(a2, (0, 1, 0))) == [(0, 1, 0)]
