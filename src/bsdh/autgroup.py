@@ -376,7 +376,7 @@ def _suite_w0_all_types(rs, report, *, cap=weyl.DEFAULT_WORD_CAP,
         h1 = h1_w0_char(b)
         word_s = weyl.format_word(word)
         report.cases += 1
-        if not all(c > 0 for c in h1.terms.values()):
+        if not h1.nonnegative():
             report.failures.append(
                 {"check": "h1-nonnegative", "word": word_s,
                  "got": h1.to_json()})

@@ -2,10 +2,32 @@
 The formal character ring of the weight lattice, and Demazure operators.
 
 A character is a finitely supported integer-coefficient function on the
-weight lattice, stored sparsely as {weight tuple: nonzero coefficient}.
-All cohomology-flavoured outputs of this package (Euler characteristics,
-section characters, kernels) live in this ring; coefficients are plain
-Python integers, so nothing ever overflows.
+weight lattice.  All cohomology-flavoured outputs of this package (Euler
+characteristics, section characters, kernels) live in this ring;
+coefficients are plain Python integers, so nothing ever overflows.
+
+Storage: a character is a dict {packed weight: nonzero coefficient}, with
+weights packed into ints by ``roots.pack_weight``: a leading 1, then one
+32-bit field holding x_k + 2^31 per coordinate, x_1 most significant.  The
+leading 1 gives the rank back, so a character needs no RootSystem, and
+integer order of the keys is lexicographic order of the weights, so every
+sorted output is the same as with tuple keys.  In a Demazure step, adding
+alpha_i to a weight is one int add of alpha_i's packed delta (each field
+moves by one coordinate of alpha_i), and <lambda, alpha_i^vee> is one
+shift, one mask and one subtract.  ``Character.terms`` is the tuple-keyed
+view.
+
+Why no field overflows: the constructors take weights of rank at most 64
+whose coordinates lie strictly inside (-2^24, 2^24) (``COORD_BOUND``), and
+raise ValueError otherwise.  The ring has no product, so every weight a
+computation reaches is such an input or the output of a Demazure step,
+and the string sum through lambda runs from lambda towards s_i(lambda):
+for the steps of one root system, every output lies in the convex hull of
+the W-orbit of the inputs.  A coordinate of w(mu) is <mu, w^{-1}(alpha_i^vee)>,
+a coroot pairing, so it is at most the height of the highest coroot (at
+most 2r - 1 in the classical types, 29 in the exceptional ones) times
+max |mu_j| < 2^24.  For r <= 64 that is below 127 * 2^24 < 2^31, inside
+the field.
 
 The Demazure operator D_i acts term by term through the three-branch
 string sum, with n = <lambda, alpha_i^vee>:
@@ -27,10 +49,9 @@ longest element with a dominant weight this is the full Weyl character.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, sub
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from .roots import RootSystem
+from .roots import PACK_BITS, RootSystem, pack_weight, unpack_weight
 from . import weyl
 
 __all__ = [
@@ -40,25 +61,40 @@ __all__ = [
     "demazure_character",
     "reference_chars",
     "ReferenceChars",
+    "COORD_BOUND",
 ]
+
+COORD_BOUND = 1 << 24    # constructor coordinates lie strictly inside +-this
+_MASK = (1 << PACK_BITS) - 1
+_BIAS = 1 << (PACK_BITS - 1)
+
+
+def _pack(w) -> int:
+    key = pack_weight(w)
+    if w and not -COORD_BOUND < min(w) <= max(w) < COORD_BOUND:
+        raise ValueError(f"weight {tuple(w)} has a coordinate outside "
+                         f"(-{COORD_BOUND}, {COORD_BOUND})")
+    return key
+
+
+def _character(packed: dict) -> "Character":
+    res = Character.__new__(Character)
+    res._d = packed
+    return res
 
 
 class Character:
     """A finitely supported Weight -> int map with exact arithmetic.
 
     Immutable by convention: operators return new instances, and the
-    underlying dict never stores a zero coefficient.
+    underlying dict never stores a zero coefficient.  Weights are kept
+    packed (see the module docstring); ``terms`` is the tuple-keyed view.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_d",)
 
     def __init__(self, terms: Mapping[Tuple[int, ...], int] | None = None):
-        clean: Dict[tuple, int] = {}
-        if terms:
-            for w, c in terms.items():
-                if c:
-                    clean[tuple(w)] = c
-        self.terms = clean
+        self._d = {_pack(w): c for w, c in terms.items() if c} if terms else {}
 
     @classmethod
     def monomial(cls, w, coeff: int = 1) -> "Character":
@@ -68,71 +104,74 @@ class Character:
     def zero(cls) -> "Character":
         return cls()
 
+    @property
+    def terms(self) -> Dict[tuple, int]:
+        """{weight tuple: coefficient}, built on each read."""
+        return {unpack_weight(k): c for k, c in self._d.items()}
+
     def coeff(self, w) -> int:
-        return self.terms.get(tuple(w), 0)
+        try:
+            key = pack_weight(w)
+        except ValueError:       # no stored weight lies outside the fields
+            return 0
+        return self._d.get(key, 0)
 
     def support(self):
-        return set(self.terms)
+        return {unpack_weight(k) for k in self._d}
 
     def dim(self) -> int:
         """Sum of coefficients: the (virtual) dimension."""
-        return sum(self.terms.values())
+        return sum(self._d.values())
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._d
 
     def sorted_items(self):
         """(weight, coeff) pairs, weights in lexicographic order."""
-        return sorted(self.terms.items())
+        return [(unpack_weight(k), c) for k, c in sorted(self._d.items())]
 
     def __add__(self, other: "Character") -> "Character":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
+        out = dict(self._d)
+        for w, c in other._d.items():
             v = out.get(w, 0) + c
             if v:
                 out[w] = v
             else:
                 out.pop(w, None)
-        res = Character.__new__(Character)
-        res.terms = out
-        return res
+        return _character(out)
 
     def __sub__(self, other: "Character") -> "Character":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
+        out = dict(self._d)
+        for w, c in other._d.items():
             v = out.get(w, 0) - c
             if v:
                 out[w] = v
             else:
                 out.pop(w, None)
-        res = Character.__new__(Character)
-        res.terms = out
-        return res
+        return _character(out)
 
     def __neg__(self) -> "Character":
-        res = Character.__new__(Character)
-        res.terms = {w: -c for w, c in self.terms.items()}
-        return res
+        return _character({w: -c for w, c in self._d.items()})
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Character) and self.terms == other.terms
+        return isinstance(other, Character) and self._d == other._d
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._d.items()))
 
     def leq(self, other: "Character") -> bool:
         """Coefficientwise <=, over the union of supports."""
-        keys = set(self.terms) | set(other.terms)
-        return all(self.terms.get(w, 0) <= other.terms.get(w, 0) for w in keys)
+        a, b = self._d, other._d
+        return all(a.get(w, 0) <= b.get(w, 0) for w in a.keys() | b.keys())
 
     def nonnegative(self) -> bool:
-        return all(c > 0 for c in self.terms.values())
+        return all(c > 0 for c in self._d.values())
 
     def to_json(self) -> list:
         return [{"weight": list(w), "coeff": c} for w, c in self.sorted_items()]
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._d:
             return "Character(0)"
         bits = [f"{c}*e{list(w)}" for w, c in self.sorted_items()]
         return "Character(" + " + ".join(bits) + ")"
@@ -142,11 +181,11 @@ def demazure_step(rs: RootSystem, i: int, chi: Character) -> Character:
     """Apply the Demazure operator for the i-th simple root to a character."""
     if not 0 <= i < rs.rank:
         raise IndexError(f"simple-root index {i} out of range for {rs.cartan_type}")
-    alpha = tuple(rs.simple_roots[i])
-    out: Dict[tuple, int] = {}
+    shift, delta = rs.packed_alphas[i]
+    out: Dict[int, int] = {}
     get = out.get
-    for lam, c in chi.terms.items():
-        n = lam[i]
+    for lam, c in chi._d.items():
+        n = (lam >> shift & _MASK) - _BIAS
         if n >= 0:
             w = lam
             for _ in range(n + 1):
@@ -155,20 +194,18 @@ def demazure_step(rs: RootSystem, i: int, chi: Character) -> Character:
                     out[w] = v
                 else:
                     del out[w]
-                w = tuple(map(sub, w, alpha))
+                w -= delta
         elif n <= -2:
-            w = tuple(map(add, lam, alpha))
+            w = lam
             for _ in range(-n - 1):
+                w += delta
                 v = get(w, 0) - c
                 if v:
                     out[w] = v
                 else:
                     del out[w]
-                w = tuple(map(add, w, alpha))
         # n == -1 contributes nothing
-    res = Character.__new__(Character)
-    res.terms = out
-    return res
+    return _character(out)
 
 
 def euler_char(rs: RootSystem, word: Sequence[int], lam) -> Character:

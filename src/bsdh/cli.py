@@ -16,20 +16,21 @@ look like ``--word 1,2,1,3,2,1``); all output is deterministic (sorted
 keys, fixed orderings, no timestamps unless ``--timing``), so identical
 invocations produce byte-identical bytes.  Exit codes: 0 success, 1
 verification failures, 2 input errors (a non-reduced word reports its
-shortest failing prefix).
+shortest failing prefix) and runs that exhaust memory (the message gives
+the command line to rerun).
 """
 
 from __future__ import annotations
 
 import json
+import shlex
 import sys
 from contextlib import nullcontext
-from itertools import chain, islice
 from typing import Optional
 
 import click
 
-from . import autgroup, tangent, weyl
+from . import __version__, autgroup, tangent, weyl
 from .characters import Character
 from .roots import RootSystem
 
@@ -94,7 +95,37 @@ type_option = click.option("--type", "-t", "type_name", required=True,
                            help="Cartan type, e.g. A3, B2, G2, D4.")
 
 
-@click.group()
+def _command_line(ctx: click.Context) -> str:
+    """The invocation, rebuilt from its parsed options."""
+    args = []
+    for param in ctx.command.params:
+        value = ctx.params.get(param.name)
+        if value is None:
+            continue
+        if getattr(param, "is_flag", False):
+            args += (param.opts if value else param.secondary_opts)[:1]
+        else:
+            args += [param.opts[0], str(value)]
+    return f"{ctx.command_path} {shlex.join(args)}"
+
+
+class _Command(click.Command):
+    """A subcommand that exits 2 with its command line, not a traceback,
+    when memory runs out."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except MemoryError:
+            pass   # leaving the handler frees what the run was holding
+        _fail(f"out of memory (bsdh {__version__}): {_command_line(ctx)}")
+
+
+class _Group(click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Character-level BSDH-variety computations."""
 
@@ -161,21 +192,22 @@ def cmd_words(type_name: str, word_text: Optional[str], cap: int,
         element = weyl.longest_element(rs)
     else:
         element = weyl.from_word(rs, _parse_word(rs, word_text))
-    words = weyl.reduced_words(rs, element, limit=limit, cap=cap,
-                               allow_large=allow_large)
-    try:
-        # the cap check runs at the first word, before any output or count
-        head = list(islice(words, 1))
-    except weyl.WordCapExceeded as exc:
-        _fail(str(exc))
+    total = None
+    if not allow_large:
+        # the cap check, before any output; a count within the cap is exact
+        total = weyl.count_words(rs, element, cap=cap)
+        if total > cap:
+            _fail(str(weyl.WordCapExceeded(cap)))
+    words = weyl.reduced_words(rs, element, limit=limit, allow_large=True)
     if fmt == "tsv":
         # written as the words stream, so no list of them is ever held
         with open(output, "w") if output else nullcontext(sys.stdout) as fh:
-            for w in chain(head, words):
+            for w in words:
                 fh.write(weyl.format_word(w) + "\n")
         return
-    stream = head + list(words)
-    total = weyl.count_words(rs, element)
+    stream = list(words)
+    if total is None:
+        total = weyl.count_words(rs, element)
     payload = {
         "type": str(rs.cartan_type),
         "element": weyl.format_word(weyl.canonical_word(rs, element)),

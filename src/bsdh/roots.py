@@ -29,9 +29,10 @@ root_coords), which fixes the order of every serialized output.
 from __future__ import annotations
 
 import re
+import struct
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -101,6 +102,41 @@ class CartanType:
         return f"{self.family}{self.rank}"
 
 
+# -- packed weights ----------------------------------------------------
+#
+# A weight (x_1, ..., x_r) packs into one int: a leading 1, then one
+# PACK_BITS-bit field per coordinate holding x_k + 2^31, x_1 most
+# significant.  The leading 1 gives the rank back, and integer order of
+# packed weights of one rank is lexicographic order.  A field holds the
+# two's complement of x_k with its top bit flipped, so struct writes and
+# reads all fields at once.
+
+PACK_BITS = 32        # fixed by the struct format ">i" below
+PACK_MAX_RANK = 64
+_PACKERS = tuple(struct.Struct(f">x{r}i") for r in range(PACK_MAX_RANK + 1))
+# the leading 1, and the top bit of each field
+_FLIPS = tuple(int.from_bytes(b"\x01" + b"\x80\0\0\0" * r, "big")
+               for r in range(PACK_MAX_RANK + 1))
+
+
+def pack_weight(w) -> int:
+    """The packed int of a weight.  ValueError for a rank above
+    PACK_MAX_RANK or a coordinate outside [-2^31, 2^31)."""
+    r = len(w)
+    if r > PACK_MAX_RANK:
+        raise ValueError(f"weight of rank {r} exceeds {PACK_MAX_RANK}")
+    try:
+        return int.from_bytes(_PACKERS[r].pack(*w), "big") ^ _FLIPS[r]
+    except struct.error as exc:
+        raise ValueError(f"weight {tuple(w)} does not pack: {exc}") from None
+
+
+def unpack_weight(key: int) -> tuple:
+    """The weight tuple of a packed int."""
+    r = (key.bit_length() - 1) // PACK_BITS
+    return _PACKERS[r].unpack((key ^ _FLIPS[r]).to_bytes(4 * r + 1, "big"))
+
+
 class Weight(tuple):
     """An integral weight in fundamental-weight coordinates.
 
@@ -161,7 +197,14 @@ class RootSystem:
             Weight(cartan[i][j] for i in range(self.rank)) for j in range(self.rank)
         )
         self._root_by_weight = {r.weight: r for r in positive_roots}
-        self._cartan_inverse = _invert(cartan)
+        # per simple root i: the shift of field i of a packed weight, and
+        # the packed delta of alpha_i (pack(lam + alpha_i) - pack(lam))
+        n = self.rank
+        self.packed_alphas = tuple(
+            (PACK_BITS * (n - 1 - i),
+             sum(a << PACK_BITS * (n - 1 - k) for k, a in enumerate(alpha)))
+            for i, alpha in enumerate(self.simple_roots))
+        self._cartan_adjugate = _adjugate(cartan)
         # the weyl module's lower intervals (key ("interval", word)) and
         # whole-group list (key "elements")
         self._caches: dict = {}
@@ -201,34 +244,38 @@ class RootSystem:
 
     def root_coords_of(self, w) -> tuple | None:
         """Simple-root coordinates of a weight, or None if outside the
-        root lattice.  Exact (Fraction) solve against the Cartan matrix."""
+        root lattice: C^{-1} w as adj(C) w / det(C), in integers."""
+        det, adj = self._cartan_adjugate
         coords = []
-        for row in self._cartan_inverse:
-            c = sum(f * x for f, x in zip(row, w))
-            if c.denominator != 1:
+        for row in adj:
+            q, r = divmod(sum(map(mul, row, w)), det)
+            if r:
                 return None
-            coords.append(int(c))
+            coords.append(q)
         return tuple(coords)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.cartan_type})"
 
 
-def _invert(cartan) -> tuple:
-    """Exact inverse of the Cartan matrix over the rationals."""
+def _adjugate(cartan) -> tuple:
+    """(det C, adj C) by fraction-free (Bareiss) Gauss-Jordan elimination
+    on [C | I]: each update (p a - f b) // prev divides exactly, and at the
+    end the left block is det(C) I and the right block adj(C).  The pivots
+    are the leading principal minors of C, all positive for a finite-type
+    Cartan matrix, so no row swap is needed."""
     n = len(cartan)
-    aug = [[Fraction(cartan[i][j]) for j in range(n)] +
-           [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    m = [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(cartan)]
+    prev = 1
+    for k in range(n):
+        p = m[k][k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], m[k])]
+        prev = p
+    return prev, tuple(tuple(row[n:]) for row in m)
 
 
 def _cartan_matrix(t: CartanType):

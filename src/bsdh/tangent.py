@@ -103,9 +103,10 @@ class BsdhWord:
         which takes r Demazure steps instead of r(r+1)/2.  Taken once per
         word; every tangent report and h1_w0_char read it."""
         rs = self.rs
+        alphas = [Character.monomial(alpha) for alpha in rs.simple_roots]
         total = Character.zero()
         for i in reversed(self.word):
-            total = demazure_step(rs, i, total + Character.monomial(rs.simple_roots[i]))
+            total = demazure_step(rs, i, total + alphas[i])
         return total
 
 
@@ -139,8 +140,8 @@ class TangentReport:
     def positive_support(self) -> list:
         """Weights in the support strictly above 0 in dominance order."""
         zero = (0,) * self.rs.rank
-        return sorted(w for w in self.total.terms
-                      if w != zero and dominance_leq(self.rs, zero, w))
+        return [w for w, _ in self.total.sorted_items()
+                if w != zero and dominance_leq(self.rs, zero, w)]
 
     def dim(self) -> int:
         return self.total.dim()

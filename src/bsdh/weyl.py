@@ -233,9 +233,12 @@ def _count(rs: RootSystem, x: tuple, cap: Optional[int] = None) -> int:
     return sum(level.values())
 
 
-def count_words(rs: RootSystem, w: WeylElement) -> int:
-    """Number of reduced words of w, by the level sweep of _count."""
-    return _count(rs, w.x)
+def count_words(rs: RootSystem, w: WeylElement,
+                cap: Optional[int] = None) -> int:
+    """Number of reduced words of w, by the level sweep of _count.  With
+    ``cap`` set the count saturates: it is exact when at most ``cap``, and
+    otherwise only known to exceed it."""
+    return _count(rs, w.x, cap)
 
 
 def _walk(rs: RootSystem, x: tuple) -> Iterator[tuple]:

@@ -57,6 +57,26 @@ def demazure_step_rational(rs: RootSystem, i: int, chi: Character) -> Character:
     return Character(out)
 
 
+def root_coords_rational(rs: RootSystem, w) -> tuple | None:
+    """Solve C c = w over the rationals by Gauss-Jordan elimination with
+    row swaps; the simple-root coordinates c, or None if not integral."""
+    n = rs.rank
+    aug = [[Fraction(x) for x in rs.cartan[i]] + [Fraction(w[i])]
+           for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    coords = [row[n] for row in aug]
+    if any(c.denominator != 1 for c in coords):
+        return None
+    return tuple(int(c) for c in coords)
+
+
 # -- Weyl group elements as action matrices --------------------------------
 #
 # The library represents an element w by the vector w(rho).  These oracles

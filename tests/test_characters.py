@@ -4,9 +4,9 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bsdh.roots import RootSystem, Weight
-from bsdh.characters import (Character, demazure_character, demazure_step,
-                             euler_char, reference_chars)
+from bsdh.roots import PACK_MAX_RANK, RootSystem, Weight
+from bsdh.characters import (COORD_BOUND, Character, demazure_character,
+                             demazure_step, euler_char, reference_chars)
 from bsdh import weyl
 
 from oracles import demazure_step_rational, weyl_dimension
@@ -48,6 +48,103 @@ def test_character_leq_and_nonnegative():
 def test_character_sorted_items_lex():
     c = mono(1, -1) + mono(0, 2) + mono(-3, 5)
     assert [w for w, _ in c.sorted_items()] == [(-3, 5), (0, 2), (1, -1)]
+
+
+# -- packed storage ---------------------------------------------------------
+
+def _random_terms(rng, rank, spread=COORD_BOUND - 1, size=8):
+    terms = {}
+    for _ in range(size):
+        w = tuple(rng.randint(-spread, spread) for _ in range(rank))
+        terms[w] = rng.choice([-2, -1, 0, 1, 3])
+    return terms
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_packed_round_trip_and_lex_order(rank):
+    rng = Random(f"pack/{rank}")
+    for spread in (1, 5, COORD_BOUND - 1):
+        terms = _random_terms(rng, rank, spread)
+        chi = Character(terms)
+        nonzero = {w: c for w, c in terms.items() if c}
+        assert chi.terms == nonzero
+        assert all(type(w) is tuple for w in chi.terms)
+        assert chi.sorted_items() == sorted(nonzero.items())
+        assert chi.support() == set(nonzero)
+        for w, c in terms.items():
+            assert chi.coeff(w) == c
+
+
+def test_coordinate_at_the_bound_is_rejected():
+    for bad in (COORD_BOUND, -COORD_BOUND, 1 << 40):
+        with pytest.raises(ValueError):
+            Character({(0, bad): 1})
+        with pytest.raises(ValueError):
+            Character.monomial((bad,))
+    with pytest.raises(ValueError):
+        Character.monomial((0,) * (PACK_MAX_RANK + 1))
+    chi = Character.monomial((COORD_BOUND - 1, 1 - COORD_BOUND))
+    assert chi.terms == {(COORD_BOUND - 1, 1 - COORD_BOUND): 1}
+    # out-of-range weights are simply absent
+    assert chi.coeff((COORD_BOUND, 0)) == 0
+    assert chi.coeff((1 << 40, 0)) == 0
+    assert chi.coeff((0,) * (PACK_MAX_RANK + 1)) == 0
+
+
+def test_steps_reach_past_the_constructor_bound(rs):
+    # outputs may leave +-COORD_BOUND; they stay exact and readable
+    g2 = rs("G2")
+    m = COORD_BOUND - 1
+    chi = demazure_step(g2, 1, Character.monomial((m, 2)))
+    assert chi.terms == {(m, 2): 1, (m + 3, 0): 1, (m + 6, -2): 1}
+    assert chi.coeff((m + 6, -2)) == 1
+    assert demazure_step(g2, 1, chi) == chi
+
+
+def test_equality_and_hash_ignore_insertion_order():
+    rng = Random(5)
+    for rank in (1, 3, 8):
+        items = list(_random_terms(rng, rank, 6).items())
+        a = Character(dict(items))
+        b = Character(dict(reversed(items)))
+        assert a == b and hash(a) == hash(b)
+        assert a - b == Character.zero()
+        assert len({a, b}) == 1
+
+
+def _tuple_step(rs, i, terms):
+    """The string sum on tuple-keyed dicts, as the library computed it
+    before weights were packed."""
+    alpha = rs.simple_roots[i]
+    out = {}
+    for lam, c in terms.items():
+        n = lam[i]
+        if n >= 0:
+            string = [tuple(x - k * a for x, a in zip(lam, alpha))
+                      for k in range(n + 1)]
+        else:
+            string = [tuple(x + k * a for x, a in zip(lam, alpha))
+                      for k in range(1, -n)]
+            c = -c
+        for w in string:
+            out[w] = out.get(w, 0) + c
+    return {w: c for w, c in out.items() if c}
+
+
+ALL_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4",
+             "D5", "E6", "E7", "E8", "F4", "G2")
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_step_agrees_with_oracles_in_every_type(rs, name):
+    system = rs(name)
+    rng = Random(f"step/{name}")
+    for _ in range(40):
+        chi = Character(_random_terms(rng, system.rank, 6, rng.randint(1, 5)))
+        for i in range(system.rank):
+            got = demazure_step(system, i, chi)
+            assert got == demazure_step_rational(system, i, chi)
+            assert got.terms == _tuple_step(system, i, chi.terms)
 
 
 # -- demazure_step branch behavior -----------------------------------------

@@ -146,6 +146,55 @@ def test_words_tsv_allow_large_needs_no_count():
     assert len(line.split(",")) == 63
 
 
+def test_words_counts_each_element_once(run, monkeypatch):
+    # a saturating count within the cap is exact, so json reuses it
+    calls = []
+    real_count = weyl._count
+
+    def counting(rs, x, cap=None):
+        calls.append(cap)
+        return real_count(rs, x, cap)
+
+    monkeypatch.setattr(weyl, "_count", counting)
+    for args, expected in [((), [weyl.DEFAULT_WORD_CAP]),
+                           (("--allow-large",), [None]),
+                           (("--format", "tsv"), [weyl.DEFAULT_WORD_CAP]),
+                           (("--format", "tsv", "--allow-large"), [])]:
+        calls.clear()
+        res = run("words", "-t", "A3", *args)
+        assert res.exit_code == 0
+        assert calls == expected, args
+        if "tsv" not in args:
+            assert json.loads(res.output)["count"] == 16
+
+
+def test_classify_w0_out_of_memory_exits_two():
+    # W(E8) has 696 million elements, so under 96 MB the sweep runs out
+    # of memory within seconds; the CLI must exit 2 and name the run
+    proc = _bsdh_limited("classify-w0", "-t", "E8", "--allow-large",
+                         address_space=96 << 20, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "out of memory" in proc.stderr
+    assert "classify-w0 --type E8 --cap 1000000 --allow-large" in proc.stderr
+
+
+def test_out_of_memory_message_gives_the_command_line(run, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.autgroup, "verify", exhausted)
+    res = run("verify", "--suite", "kernel", "-t", "A3", "--seed", "5",
+              "--all-words")
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == (
+        f"error: out of memory (bsdh {bsdh.__version__}): main verify "
+        "--suite kernel --type A3 --cases 1000 --weights 50 --seed 5 "
+        "--all-words --cap 1000000\n")
+
+
 def test_words_explicit_element(run):
     res = run("words", "-t", "A2", "--word", "1,2")
     js = json.loads(res.output)

@@ -1,8 +1,13 @@
+from random import Random
+
 import pytest
 
-from bsdh.roots import (CartanType, RootSystem, Weight, build_root_system,
-                        dominance_leq, dot_action, pairing, reflect)
+from bsdh.roots import (PACK_MAX_RANK, CartanType, RootSystem, Weight,
+                        build_root_system, dominance_leq, dot_action,
+                        pack_weight, pairing, reflect, unpack_weight)
 from bsdh import weyl
+
+from oracles import root_coords_rational
 
 CLASSICAL_COUNTS = {
     "A1": 1, "A2": 3, "A3": 6, "A4": 10,
@@ -168,6 +173,52 @@ def test_dominance(rs):
     omega1, omega2 = Weight((1, 0)), Weight((0, 1))
     assert not dominance_leq(a2, omega1, omega2)
     assert not dominance_leq(a2, omega2, omega1)
+
+
+@pytest.mark.parametrize("name", sorted(CLASSICAL_COUNTS))
+def test_root_coords_agree_with_rational_solve(name):
+    system = RootSystem.of(name)
+    n = system.rank
+    for beta in system.positive_roots:
+        for w in (beta.weight, -beta.weight):
+            assert system.root_coords_of(w) == root_coords_rational(system, w)
+        assert system.root_coords_of(beta.weight) == beta.root_coords
+    rng = Random(f"root-coords/{name}")
+    integral = 0
+    for _ in range(300):
+        w = tuple(rng.randint(-9, 9) for _ in range(n))
+        got = system.root_coords_of(w)
+        assert got == root_coords_rational(system, w), w
+        integral += got is not None
+    # a sublattice of index det(C): E8, F4 and G2 have every weight integral
+    assert integral == 300 if name in ("E8", "F4", "G2") else 0 < integral < 300
+
+
+def test_packed_weights_round_trip_in_lex_order():
+    rng = Random(17)
+    top = (1 << 31) - 1
+    for rank in (1, 2, 5, 8, PACK_MAX_RANK):
+        weights = [tuple(rng.randint(-top - 1, top) for _ in range(rank))
+                   for _ in range(50)]
+        weights += [(-top - 1,) * rank, (top,) * rank, (0,) * rank]
+        keys = [pack_weight(w) for w in weights]
+        assert [unpack_weight(k) for k in keys] == weights
+        assert sorted(weights) == [unpack_weight(k) for k in sorted(keys)]
+    for bad in [(1 << 31,), (0, -(1 << 31) - 1), (0,) * (PACK_MAX_RANK + 1)]:
+        with pytest.raises(ValueError):
+            pack_weight(bad)
+
+
+@pytest.mark.parametrize("name", ("A3", "B4", "E8", "G2"))
+def test_packed_alphas_add_simple_roots(name):
+    system = RootSystem.of(name)
+    rng = Random(name)
+    for _ in range(20):
+        lam = Weight(rng.randint(-50, 50) for _ in range(system.rank))
+        for i, (shift, delta) in enumerate(system.packed_alphas):
+            alpha = system.simple_roots[i]
+            assert pack_weight(lam) + delta == pack_weight(lam + alpha)
+            assert (pack_weight(lam) >> shift & 0xFFFFFFFF) - (1 << 31) == lam[i]
 
 
 def test_coroot_pairing_agrees_with_weight_coords():
