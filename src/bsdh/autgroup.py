@@ -37,10 +37,11 @@ from dataclasses import dataclass, field
 from random import Random
 
 from .roots import RootSystem
-from .characters import Character, demazure_step, euler_char, reference_chars
+from .characters import Character, demazure_step, euler_char
 from .tangent import (BsdhWord, KernelReport, TangentReport,
-                      adjoint_containment, h1_w0_char, kernel_char,
-                      tangent_euler_char, tangent_h0_char)
+                      _char_p_J, _orth_masks, adjoint_containment,
+                      h1_w0_char, kernel_char, tangent_euler_char,
+                      tangent_h0_char)
 from . import weyl
 
 __all__ = [
@@ -169,9 +170,7 @@ def classify_all_w0(rs: RootSystem, cap: int = weyl.DEFAULT_WORD_CAP,
     the first level whose sum passes ``cap``.
     """
     n = rs.rank
-    # bit mask of the letters orthogonal to letter i
-    orth = [sum(1 << k for k in range(n) if rs.cartan[i][k] == 0)
-            for i in range(n)]
+    orth = _orth_masks(rs)
     # z -> (supp(u) mask, {J mask: reduced prefixes of u with that J});
     # u = e first, whose remainder is w_0
     level = {tuple(-c for c in rs.rho): (0, {0: 1})}
@@ -297,7 +296,7 @@ def _check_sl_word(rs, word, report):
     b = BsdhWord(rs, word)
     rep = tangent_h0_char(b)
     crit = weyl.alpha0_criterion(rs, b.element)
-    p_J = reference_chars(rs, b.J).char_p_J
+    p_J = _char_p_J(rs, b.J)
     word_s = weyl.format_word(word)
 
     report.cases += 1

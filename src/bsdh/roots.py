@@ -178,8 +178,11 @@ class Root:
 class RootSystem:
     """The full combinatorial datum: Cartan matrix, roots, highest root, rho.
 
-    Immutable after construction; safe to share between threads.  Use
-    :func:`build_root_system` (or ``RootSystem.of("A3")``) to construct.
+    The root data never change after construction.  The memos of other
+    modules write to ``_caches`` (see ``__init__``); two threads that race
+    on a missing entry compute equal results, so sharing a root system
+    between threads is harmless.  Use :func:`build_root_system` (or
+    ``RootSystem.of("A3")``) to construct.
     """
 
     def __init__(self, cartan_type: CartanType, cartan, positive_roots,
@@ -205,8 +208,10 @@ class RootSystem:
              sum(a << PACK_BITS * (n - 1 - k) for k, a in enumerate(alpha)))
             for i, alpha in enumerate(self.simple_roots))
         self._cartan_adjugate = _adjugate(cartan)
-        # the weyl module's lower intervals (key ("interval", word)) and
-        # whole-group list (key "elements")
+        # memos: the weyl module's lower intervals (key ("interval", word))
+        # and whole-group list (key "elements"); the tangent module's
+        # transition table (key "tangent"), orthogonality masks (key
+        # "orth") and char p_J (key ("p_J", J))
         self._caches: dict = {}
 
     @classmethod

@@ -1,18 +1,25 @@
 import itertools
+from random import Random
 
 import pytest
 
 from bsdh.roots import RootSystem, Weight
-from bsdh.characters import Character, reference_chars
+from bsdh.characters import Character, demazure_step, reference_chars
 from bsdh.tangent import (BsdhWord, KernelReport, TangentReport,
                           adjoint_containment, h1_w0_char, kernel_char,
                           root_subset_R_w, schubert_tangent_char,
                           tangent_euler_char, tangent_h0_char)
-from bsdh import weyl
+from bsdh import tangent, weyl
 
 
 def mono(*coords):
     return Character.monomial(tuple(coords))
+
+
+def euler_char_sum(system, word):
+    """The tangent sum by its definition: one Demazure string per level."""
+    return sum(tangent_euler_char(BsdhWord(system, word)).per_step,
+               Character.zero())
 
 
 # -- BsdhWord ---------------------------------------------------------------
@@ -70,6 +77,87 @@ def test_d_is_word_invariant(rs):
     for w in weyl.all_elements(b3):
         ds = {BsdhWord(b3, word).d for word in weyl.reduced_words(b3, w)}
         assert len(ds) <= 1
+
+
+def _validate_prefix_first(system, word):
+    """The reducedness check as weyl.unreduced_prefix makes it, left to
+    right: IndexError at the first letter out of range, ValueError at the
+    first prefix that is not reduced, whichever comes first."""
+    bad = weyl.unreduced_prefix(system, word)
+    if bad is not None:
+        raise ValueError(f"word {weyl.format_word(word)} is not reduced; "
+                         f"failing prefix {weyl.format_word(bad)}")
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as err:
+        fn(*args)
+    return type(err.value), str(err.value)
+
+
+def test_bsdh_word_errors_match_prefix_first_validation(rs):
+    rng = Random(20261019)
+    kinds = set()
+    for name in ("A3", "B3", "G2", "D4"):
+        system = rs(name)
+        n = system.rank
+        w0_words = list(weyl.reduced_words(system, weyl.longest_element(system)))
+        for trial in range(150):
+            word = list(rng.choice(w0_words))[: rng.randrange(1, 2 * n)]
+            kind = trial % 3      # unreduced, out of range, or both
+            if kind != 1:         # a repeated letter ends a non-reduced prefix
+                pos = rng.randrange(len(word))
+                word.insert(pos, word[pos])
+            if kind != 0:
+                word.insert(rng.randrange(len(word) + 1),
+                            rng.choice((-1, -n, n, n + 2)))
+            word = tuple(word)
+            want = _raised(_validate_prefix_first, system, word)
+            assert _raised(BsdhWord, system, word) == want, word
+            kinds.add(want[0])
+        # letters that are no index at all
+        for word in ((0, 0, None), (None, 0, 0), (0, 1.5), (1, 0, 1, 0, "x")):
+            assert _raised(BsdhWord, system, word) \
+                == _raised(_validate_prefix_first, system, word)
+    assert kinds == {ValueError, IndexError}
+
+
+def _horner_suffix_sums(system, word):
+    """T(t) for every suffix t of the word, by Horner's rule with no table."""
+    sums = [Character.zero()]
+    for i in reversed(word):
+        sums.append(demazure_step(system, i, sums[-1]
+                                  + Character.monomial(system.simple_roots[i])))
+    return sums
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "D4"])
+def test_shared_tangent_table_matches_the_per_level_sum(name):
+    oracle = RootSystem.of(name)
+    words = list(weyl.reduced_words(oracle, weyl.longest_element(oracle)))
+    if name in ("A3", "B3"):
+        words = sorted({w[:r] for w in words for r in range(len(w) + 1)})
+    fresh, warm = RootSystem.of(name), RootSystem.of(name)
+    # warm one table with another word list: a word of every element
+    for w in weyl.all_elements(warm):
+        BsdhWord(warm, weyl.canonical_word(warm, w)).tangent_sum
+    suffix_sums = set()
+    for word in words:
+        expected = euler_char_sum(oracle, word)
+        jp = tuple(l for l in range(len(word))
+                   if all(oracle.cartan[word[k]][word[l]] == 0 for k in range(l)))
+        for system in (fresh, warm):
+            b = BsdhWord(system, word)
+            assert b.tangent_sum == expected, (system, word)
+            assert b.element == weyl.from_word(system, word)
+            assert b.j_prime == jp
+            assert b.J == tuple(sorted(word[l] for l in jp))
+            assert b.supp == tuple(sorted(set(word)))
+        suffix_sums.update(_horner_suffix_sums(oracle, word))
+    # one state per distinct suffix sum met, and no other
+    states = tangent._tangent_table(fresh).states
+    assert len(set(states)) == len(states)
+    assert set(states) == suffix_sums
 
 
 # -- tangent characters -----------------------------------------------------
@@ -161,8 +249,8 @@ def test_h1_requires_longest(rs):
         h1_w0_char(BsdhWord(a2, (0, 1)))
 
 
-def test_h1_reuses_the_tangent_sum(rs, monkeypatch):
-    from bsdh import characters, tangent
+def test_h1_reuses_the_tangent_sum(monkeypatch):
+    from bsdh import characters
     steps = []
     real_step = characters.demazure_step
 
@@ -172,12 +260,40 @@ def test_h1_reuses_the_tangent_sum(rs, monkeypatch):
 
     monkeypatch.setattr(characters, "demazure_step", counting_step)
     monkeypatch.setattr(tangent, "demazure_step", counting_step)
-    b = BsdhWord(rs("B2"), (1, 0, 1, 0))
+    # fresh root systems: a shared one may hold the transitions already
+    b2 = RootSystem.of("B2")
+    b = BsdhWord(b2, (1, 0, 1, 0))
     chi = tangent_euler_char(b).total
     assert len(steps) == 4
     h1 = h1_w0_char(b)
     assert len(steps) == 4
     assert h1 == reference_chars(b.rs, b.J).char_p_J - chi
+    # a suffix of a word already summed costs no step
+    suffix = BsdhWord(b2, (0, 1, 0))
+    suffix.tangent_sum
+    assert len(steps) == 4
+
+    # A second word pays only for transitions the table lacks.  These two
+    # share the suffix 2,1,0; past it the second word needs letter 1 on
+    # T(2,1,0) (new), letter 0 on T(1,2,1,0) and letter 1 on the result.
+    # T(1,2,1,0) = T(1,0,2,1,0), a state of the first word that already
+    # has its letter-0 transition, so two steps run, not three.
+    a3 = RootSystem.of("A3")
+    table = tangent._tangent_table(a3)
+    first = BsdhWord(a3, (0, 1, 0, 2, 1, 0))
+    first.tangent_sum
+    assert len(steps) == 4 + 6 == 4 + len(table.step)
+    second = BsdhWord(a3, (1, 0, 1, 2, 1, 0))
+    second.tangent_sum
+    assert len(steps) == 12 == 4 + len(table.step)
+    # both are suffixes of words summed above, so no step runs here
+    assert BsdhWord(a3, (1, 2, 1, 0)).tangent_sum \
+        is BsdhWord(a3, (1, 0, 2, 1, 0)).tangent_sum
+    assert len(steps) == 12
+
+    monkeypatch.undo()
+    for w in (suffix, first, second):
+        assert w.tangent_sum == euler_char_sum(w.rs, w.word)
 
 
 def test_h1_vanishes_simply_laced(rs):
