@@ -105,8 +105,7 @@ class BsdhWord:
         self.rs = rs
         self.word = word
         self.element = weyl._element(rs, x)
-        # positions (0-based) whose letter pairs to zero with all earlier
-        # ones: those whose letter is orthogonal to every letter seen so far
+        # positions (0-based) whose letter pairs to zero with all earlier ones
         orth = _orth_masks(rs)
         seen = 0
         j_prime = []
@@ -116,7 +115,7 @@ class BsdhWord:
             seen |= 1 << i
         self.j_prime = tuple(j_prime)
         self.J = tuple(sorted(word[l] for l in self.j_prime))
-        self.supp = tuple(i for i in range(rs.rank) if seen >> i & 1)
+        self.supp = tuple(sorted(set(word)))
         self.d = len(self.supp)
 
     def __repr__(self) -> str:
@@ -128,16 +127,14 @@ class BsdhWord:
         D_{i_1}(e^{alpha_{i_1}} + D_{i_2}(e^{alpha_{i_2}} + ... D_{i_r}(e^{alpha_{i_r}}))),
         one Demazure step per letter instead of r(r+1)/2.
 
-        The step for letter i maps the suffix sum T(t) to T(i.t) and
-        depends on nothing else, so the steps are read from the root
-        system's transition table (see the module docstring): a Demazure
-        step runs only for a (letter, suffix sum) pair no earlier word of
-        this root system has met, and past that a word costs one
-        int-keyed dict lookup per letter.  The table holds at most one
-        state per distinct suffix sum met (52 for all of D4's w_0 words,
-        156 for all of B4's).  Taken once per word; every
-        tangent report and h1_w0_char read it, and words that end alike
-        share the same Character object, which no operation mutates."""
+        The steps are read from the root system's transition table (see
+        the module docstring): a Demazure step runs only for a (letter,
+        suffix sum) pair no earlier word of this root system has met, and
+        past that a word costs one int-keyed dict lookup per letter.  The
+        table holds at most one state per distinct suffix sum met (52 for
+        all of D4's w_0 words, 156 for all of B4's).  Taken once per word;
+        every tangent report and h1_w0_char read it.  Words with the same
+        sum share one Character object, which no operation mutates."""
         return _tangent_table(self.rs).walk(self.rs, self.word)
 
 
