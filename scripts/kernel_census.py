@@ -22,7 +22,6 @@ from bsdh import weyl
 @dataclass
 class CensusConfig:
     types: list = field(default_factory=lambda: ["A2", "A3"])
-    cap: int = 10_000
     verbose: bool = False
 
 
@@ -34,8 +33,7 @@ def run(cfg: CensusConfig) -> int:
         t0 = time.monotonic()
         pairs = 0
         by_dim: dict = {}
-        for full in weyl.reduced_words(rs, w0, cap=cfg.cap,
-                                       allow_large=True):
+        for full in weyl.reduced_words(rs, w0, cap=None):
             for cut in range(len(full) + 1):
                 report = kernel_char(BsdhWord(rs, full[:cut]), full)
                 pairs += 1
@@ -62,11 +60,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--types", default="A2,A3",
                         help="comma-separated simply-laced Cartan types")
-    parser.add_argument("--cap", type=int, default=10_000)
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args()
     cfg = CensusConfig(types=[t.strip() for t in args.types.split(",") if t],
-                       cap=args.cap, verbose=args.verbose)
+                       verbose=args.verbose)
     raise SystemExit(1 if run(cfg) else 0)
 
 

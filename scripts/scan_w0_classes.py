@@ -30,7 +30,7 @@ def run(cfg: ScanConfig) -> dict:
     for name in cfg.types:
         rs = RootSystem.of(name)
         t0 = time.monotonic()
-        classes = classify_all_w0(rs, allow_large=True)
+        classes = classify_all_w0(rs, cap=None)
         elapsed = time.monotonic() - t0
         results[name] = classes
         print(f"== {name}: {classes.total_words} words of the longest "

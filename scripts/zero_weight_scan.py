@@ -31,7 +31,6 @@ from bsdh import weyl
 @dataclass
 class ScanConfig:
     types: list = field(default_factory=lambda: ["B2", "G2", "B3"])
-    cap: int = 10_000
     only_violations: bool = False
 
 
@@ -42,8 +41,7 @@ def run(cfg: ScanConfig) -> int:
         n = rs.rank
         zero = (0,) * n
         w0 = weyl.longest_element(rs)
-        words = list(weyl.reduced_words(rs, w0, cap=cfg.cap,
-                                        allow_large=True))
+        words = list(weyl.reduced_words(rs, w0, cap=None))
         t0 = time.monotonic()
         print(f"== {name} (rank {n}, {len(words)} longest-element words)")
         violations = 0
@@ -70,12 +68,11 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--types", default="B2,G2,B3",
                         help="comma-separated Cartan types")
-    parser.add_argument("--cap", type=int, default=10_000)
     parser.add_argument("--only-violations", action="store_true",
                         help="print only the obstructed words")
     args = parser.parse_args()
     cfg = ScanConfig(types=[t.strip() for t in args.types.split(",") if t],
-                     cap=args.cap, only_violations=args.only_violations)
+                     only_violations=args.only_violations)
     total = run(cfg)
     print(f"total obstructed words: {total}")
 

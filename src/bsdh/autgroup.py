@@ -26,8 +26,8 @@ classify_all_w0 counts the reduced words of w_0 in each J-set class in
 one sweep over the group, one length at a time, without listing a single
 word, so F4 (over two million words), E6 (about 1.3e15) and E7 (about
 1.2e30) are in reach; the cost grows with the group order, not the word
-count.  The cap guardrail still bounds the word count unless allow_large
-is set, and refuses as soon as a level of the sweep passes it.
+count.  The cap guardrail still bounds the word count unless it is None,
+and refuses as soon as a level of the sweep passes it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from random import Random
 from .roots import RootSystem
 from .characters import Character, demazure_step, euler_char
 from .tangent import (BsdhWord, KernelReport, TangentReport,
-                      _char_p_J, _orth_masks, adjoint_containment,
+                      _bits, _char_p_J, _orth_masks, adjoint_containment,
                       h1_w0_char, kernel_char, tangent_euler_char,
                       tangent_h0_char)
 from . import weyl
@@ -111,7 +111,7 @@ def classify(b: BsdhWord, cap: int = weyl.DEFAULT_WORD_CAP) -> AutReport:
         status = STATUS_EXACT
         # completions are the reduced words of u^{-1} w_0
         if weyl._count(rs, weyl._rest_to_w0(rs, b.word), cap) <= cap:
-            for j_word in weyl.completions_to_w0(rs, b.word, allow_large=True):
+            for j_word in weyl.completions_to_w0(rs, b.word, cap=None):
                 checked += 1
                 full = BsdhWord(rs, j_word)
                 if full.J != b.J:
@@ -149,49 +149,42 @@ class W0Classes:
                 "classes": classes}
 
 
-def classify_all_w0(rs: RootSystem, cap: int = weyl.DEFAULT_WORD_CAP,
-                    allow_large: bool = False) -> W0Classes:
+def classify_all_w0(rs: RootSystem,
+                    cap: int | None = weyl.DEFAULT_WORD_CAP) -> W0Classes:
     """Count the reduced words of w_0 in each J-set class, listing none.
 
-    A letter joins J exactly when it first enters the support and is
-    orthogonal to every letter already there, so J depends only on the
-    order in which letters enter.  One sweep extends each prefix element u
-    by its right ascents, one length at a time, from e up to w_0, carrying
-    supp(u) and how many reduced prefixes of u have each J; only two
-    levels are held.  At w_0 that state is the table, and its sum is the
-    word count.
+    J composes over suffixes: J(i.t) = {i} ∪ {j in J(t) orthogonal to i}
+    (see the tangent module).  One sweep extends each suffix element v by
+    its left ascents, one length at a time, from e up to w_0, carrying
+    how many reduced words of v have each J; only two levels are held.
+    At w_0 that state is the table, and its sum is the word count.
 
-    Each u is keyed by the vector z = (u^{-1} w_0)(rho) = -u^{-1}(rho) of
-    the remainder, so no Weyl-element product is taken: the right ascents
-    i of u are the left descents of u^{-1} w_0 (z[i] < 0), u s_i has
+    Each v is keyed by the vector z = -v(rho), so no Weyl-element product
+    is taken: the left ascents i of v are the i with z[i] < 0, s_i v has
     vector s_i(z), and the sweep runs from -rho down to rho.  A level's
-    sum counts the reduced prefixes of that length, which never falls, so
-    unless ``allow_large`` is set the sweep stops with WordCapExceeded at
-    the first level whose sum passes ``cap``.
+    sum counts the reduced suffixes of that length, which never falls, so
+    unless ``cap`` is None the sweep stops with WordCapExceeded at the
+    first level whose sum passes ``cap``.
     """
-    n = rs.rank
     orth = _orth_masks(rs)
-    # z -> (supp(u) mask, {J mask: reduced prefixes of u with that J});
-    # u = e first, whose remainder is w_0
-    level = {tuple(-c for c in rs.rho): (0, {0: 1})}
+    # z -> {J mask: reduced words of v with that J}; v = e first
+    level = {tuple(-c for c in rs.rho): {0: 1}}
     while rs.rho not in level:
         grown: dict = {}
-        for z, (supp, by_J) in level.items():
+        for z, by_J in level.items():
             for i, z_next in weyl._descents(rs, z):
-                bit = 1 << i
-                joins = not supp & bit and not supp & ~orth[i]
-                target = grown.setdefault(z_next, (supp | bit, {}))[1]
+                bit, keep = 1 << i, orth[i]
+                target = grown.setdefault(z_next, {})
                 for J, c in by_J.items():
-                    J_next = J | bit if joins else J
+                    J_next = bit | J & keep
                     target[J_next] = target.get(J_next, 0) + c
         level = grown
-        if not allow_large and sum(
-                c for _, by_J in level.values() for c in by_J.values()) > cap:
+        if cap is not None and sum(
+                c for by_J in level.values() for c in by_J.values()) > cap:
             raise weyl.WordCapExceeded(cap)
 
-    (_, by_J), = level.values()   # u = w_0, at z = rho
-    buckets = {tuple(k for k in range(n) if J >> k & 1): c
-               for J, c in by_J.items()}
+    (by_J,) = level.values()   # v = w_0, at z = rho
+    buckets = {_bits(J): c for J, c in by_J.items()}
     return W0Classes(rs=rs, total_words=sum(buckets.values()), buckets=buckets)
 
 
@@ -243,7 +236,7 @@ def _char_pair(expected: Character, got: Character):
     return {"expected": expected.to_json(), "got": got.to_json()}
 
 
-def _suite_operators(rs, report, *, cases=1000, seed=0, **_):
+def _suite_operators(rs, report, *, cases=1000, seed=0):
     rng = Random(seed)
     n = rs.rank
     for case in range(cases):
@@ -268,12 +261,10 @@ def _suite_operators(rs, report, *, cases=1000, seed=0, **_):
                          "letters": [i + 1, j + 1], **_char_pair(lhs, rhs)})
 
 
-def _suite_euler(rs, report, *, weights=50, seed=0, cap=weyl.DEFAULT_WORD_CAP,
-                 allow_large=False, **_):
+def _suite_euler(rs, report, *, weights=50, seed=0, cap=weyl.DEFAULT_WORD_CAP):
     rng = Random(seed)
     for w in weyl.all_elements(rs):
-        words = list(weyl.reduced_words(rs, w, cap=cap,
-                                        allow_large=allow_large))
+        words = list(weyl.reduced_words(rs, w, cap=cap))
         lams = [tuple(rng.randint(-4, 4) for _ in range(rs.rank))
                 for _ in range(weights)]
         if len(words) < 2:
@@ -325,7 +316,7 @@ def _check_sl_word(rs, word, report):
 
 
 def _suite_simply_laced(rs, report, *, w0_only=None, sample=None, seed=0,
-                        cap=weyl.DEFAULT_WORD_CAP, allow_large=False, **_):
+                        cap=weyl.DEFAULT_WORD_CAP):
     if not rs.cartan_type.simply_laced():
         raise ValueError(f"suite requires a simply-laced type, got {rs.cartan_type}")
     if w0_only is None:
@@ -336,21 +327,18 @@ def _suite_simply_laced(rs, report, *, w0_only=None, sample=None, seed=0,
         elements = weyl.all_elements(rs)
     rng = Random(seed)
     for w in elements:
-        words = list(weyl.reduced_words(rs, w, cap=cap,
-                                        allow_large=allow_large))
+        words = list(weyl.reduced_words(rs, w, cap=cap))
         if sample is not None and len(words) > sample:
             words = rng.sample(words, sample)
         for word in words:
             _check_sl_word(rs, word, report)
 
 
-def _suite_kernel(rs, report, *, cap=weyl.DEFAULT_WORD_CAP,
-                  allow_large=False, **_):
+def _suite_kernel(rs, report, *, cap=weyl.DEFAULT_WORD_CAP):
     if not rs.cartan_type.simply_laced():
         raise ValueError(f"suite requires a simply-laced type, got {rs.cartan_type}")
     w0 = weyl.longest_element(rs)
-    for j_word in weyl.reduced_words(rs, w0, cap=cap,
-                                     allow_large=allow_large):
+    for j_word in weyl.reduced_words(rs, w0, cap=cap):
         for r in range(len(j_word) + 1):
             b = BsdhWord(rs, j_word[:r])
             rep = kernel_char(b, j_word)
@@ -363,13 +351,12 @@ def _suite_kernel(rs, report, *, cap=weyl.DEFAULT_WORD_CAP,
                      **_char_pair(rep.predicted, rep.observed)})
 
 
-def _suite_w0_all_types(rs, report, *, cap=weyl.DEFAULT_WORD_CAP,
-                        allow_large=False, **_):
+def _suite_w0_all_types(rs, report, *, cap=weyl.DEFAULT_WORD_CAP):
     n = rs.rank
     zero = (0,) * n
     simply = rs.cartan_type.simply_laced()
     w0 = weyl.longest_element(rs)
-    for word in weyl.reduced_words(rs, w0, cap=cap, allow_large=allow_large):
+    for word in weyl.reduced_words(rs, w0, cap=cap):
         b = BsdhWord(rs, word)
         chi = tangent_euler_char(b)
         h1 = h1_w0_char(b)
@@ -393,7 +380,7 @@ def _suite_w0_all_types(rs, report, *, cap=weyl.DEFAULT_WORD_CAP,
                  "got": h1.to_json()})
 
 
-def _suite_schubert_adjoint(rs, report, **_):
+def _suite_schubert_adjoint(rs, report):
     for w in weyl.all_elements(rs):
         report.cases += 1
         contain = adjoint_containment(rs, w)
@@ -419,12 +406,17 @@ def verify(suite: str, rs: RootSystem, **options) -> VerifyReport:
     """Run one named invariant battery; see SUITES for the names.
 
     Returns a report with a deterministic failure list; cases counts the
-    instances checked.  Unknown suite names raise ValueError.
+    instances checked.  Unknown suite names, and options the suite does
+    not take, raise ValueError.
     """
     runner = SUITES.get(suite)
     if runner is None:
         raise ValueError(
             f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+    takes = runner.__kwdefaults__ or {}
+    for name in options:
+        if name not in takes:
+            raise ValueError(f"suite {suite!r} takes no option {name!r}")
     report = VerifyReport(suite=suite, rs=rs, cases=0)
     start = time.monotonic()
     runner(rs, report, **options)

@@ -29,6 +29,7 @@ from contextlib import nullcontext
 from typing import Optional
 
 import click
+from click.core import ParameterSource
 
 from . import __version__, autgroup, tangent, weyl
 from .characters import Character
@@ -192,13 +193,14 @@ def cmd_words(type_name: str, word_text: Optional[str], cap: int,
         element = weyl.longest_element(rs)
     else:
         element = weyl.from_word(rs, _parse_word(rs, word_text))
+    cap = None if allow_large else cap
     total = None
-    if not allow_large:
+    if cap is not None:
         # the cap check, before any output; a count within the cap is exact
         total = weyl.count_words(rs, element, cap=cap)
         if total > cap:
             _fail(str(weyl.WordCapExceeded(cap)))
-    words = weyl.reduced_words(rs, element, limit=limit, allow_large=True)
+    words = weyl.reduced_words(rs, element, limit=limit, cap=None)
     if fmt == "tsv":
         # written as the words stream, so no list of them is ever held
         with open(output, "w") if output else nullcontext(sys.stdout) as fh:
@@ -294,7 +296,7 @@ def cmd_classify_w0(type_name: str, cap: int, allow_large: bool,
     """Count the reduced words of w_0 in each J-set class."""
     rs = _root_system(type_name)
     try:
-        result = autgroup.classify_all_w0(rs, cap=cap, allow_large=allow_large)
+        result = autgroup.classify_all_w0(rs, cap=None if allow_large else cap)
     except weyl.WordCapExceeded as exc:
         _fail(str(exc))
     _emit_json(result.to_json(), output)
@@ -321,16 +323,20 @@ def cmd_classify_w0(type_name: str, cap: int, allow_large: bool,
 @click.option("--timing", is_flag=True,
               help="Include real elapsed milliseconds in the report.")
 @output_option
-def cmd_verify(suite: str, type_name: str, cases: int, weights: int,
-               seed: int, sample: Optional[int], w0_only: Optional[bool],
-               cap: int, allow_large: bool, timing: bool,
-               output: Optional[str]) -> None:
+@click.pass_context
+def cmd_verify(ctx: click.Context, suite: str, type_name: str,
+               allow_large: bool, timing: bool, output: Optional[str],
+               **options) -> None:
     """Run a named verification suite; exit 0 iff it is clean."""
     rs = _root_system(type_name)
+    # only options given on the command line reach the suite, which
+    # refuses any it does not take; the defaults above are the suites' own
+    given = {name: value for name, value in options.items()
+             if ctx.get_parameter_source(name) != ParameterSource.DEFAULT}
+    if allow_large:
+        given["cap"] = None
     try:
-        report = autgroup.verify(
-            suite, rs, cases=cases, weights=weights, seed=seed,
-            sample=sample, w0_only=w0_only, cap=cap, allow_large=allow_large)
+        report = autgroup.verify(suite, rs, **given)
     except (ValueError, weyl.WordCapExceeded) as exc:
         _fail(str(exc))
     _emit_json(report.to_json(timing=timing), output)

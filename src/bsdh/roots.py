@@ -208,7 +208,7 @@ class RootSystem:
              sum(a << PACK_BITS * (n - 1 - k) for k, a in enumerate(alpha)))
             for i, alpha in enumerate(self.simple_roots))
         self._cartan_adjugate = _adjugate(cartan)
-        # memos: the weyl module's lower intervals (key ("interval", word))
+        # memos: the weyl module's lower intervals (key ("interval", w(rho)))
         # and whole-group list (key "elements"); the tangent module's
         # transition table (key "tangent"), orthogonality masks (key
         # "orth") and char p_J (key ("p_J", J))
@@ -219,12 +219,6 @@ class RootSystem:
         return build_root_system(CartanType.parse(name))
 
     # -- basic queries -------------------------------------------------
-
-    def positive_root_with_weight(self, w) -> Root | None:
-        return self._root_by_weight.get(tuple(w))
-
-    def is_positive_root(self, w) -> bool:
-        return tuple(w) in self._root_by_weight
 
     def is_negative_root(self, w) -> bool:
         return tuple(-c for c in w) in self._root_by_weight

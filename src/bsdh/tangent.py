@@ -44,11 +44,15 @@ split each state by every element it occurs at.
 
 The combinatorial sets attached to a word:
 
-* J'(w, i): positions l whose letter is orthogonal to every earlier
-  letter (position 1 always qualifies); the letters at those positions
-  are pairwise orthogonal and pairwise distinct.  Found in one pass with
-  the per-letter orthogonality bit masks of the root system.
-* J(w, i) = {alpha_{i_l} : l in J'(w, i)}, recorded as simple indices.
+* J(w, i), recorded as simple indices, by the suffix recurrence
+  J(i.t) = {i} ∪ {j in J(t) : <alpha_j, alpha_i^vee> = 0} with J(()) empty;
+  on bit masks, J = 1 << i | J & orth[i] with the per-letter
+  orthogonality masks of the root system, taken in the same
+  right-to-left walk that checks the word is reduced and builds w(rho).
+  Its letters are pairwise orthogonal and pairwise distinct.
+* J'(w, i): the first position of each letter of J, which are exactly
+  the positions whose letter is orthogonal to every earlier letter
+  (position 1 always qualifies).
 * supp(w): the set of distinct letters, with d(w) = |supp(w)| — a
   word-independent invariant of the element.
 * R_w: positive roots inverted by no v^{-1} with v <= w; together with
@@ -60,7 +64,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .roots import RootSystem, dominance_leq
@@ -95,8 +99,25 @@ class BsdhWord:
 
     def __init__(self, rs: RootSystem, word: Sequence[int]):
         word = tuple(word)
-        x = _reduced_vector(rs, word)
-        if x is None:
+        roots, n, orth = rs.simple_roots, rs.rank, _orth_masks(rs)
+        reflect = weyl._reflect
+        # one right-to-left walk over the suffixes t = (i_k ... i_r),
+        # carrying x = t(rho) and the masks of J(t) (see the module
+        # docstring) and supp(t); i_k lengthens t exactly when x[i_k] > 0,
+        # since <v(rho), alpha_i^vee> is positive iff v^{-1}(alpha_i) is a
+        # positive root
+        x, J, supp, reduced = rs.rho, 0, 0, True
+        try:
+            for i in reversed(word):
+                if not 0 <= i < n or x[i] < 0:
+                    reduced = False
+                    break
+                x = reflect(x, i, roots)
+                J = 1 << i | J & orth[i]
+                supp |= 1 << i
+        except TypeError:        # a letter that is no index
+            reduced = False
+        if not reduced:
             # rescan left to right for the error of the first bad letter
             bad = weyl.unreduced_prefix(rs, word)
             raise ValueError(
@@ -105,21 +126,17 @@ class BsdhWord:
         self.rs = rs
         self.word = word
         self.element = weyl._element(rs, x)
-        # positions (0-based) whose letter pairs to zero with all earlier ones
-        orth = _orth_masks(rs)
-        seen = 0
-        j_prime = []
-        for l, i in enumerate(word):
-            if not seen & ~orth[i]:
-                j_prime.append(l)
-            seen |= 1 << i
-        self.j_prime = tuple(j_prime)
-        self.J = tuple(sorted(word[l] for l in self.j_prime))
-        self.supp = tuple(sorted(set(word)))
+        self.J = _bits(J)
+        self.supp = _bits(supp)
         self.d = len(self.supp)
 
     def __repr__(self) -> str:
         return f"BsdhWord({self.rs.cartan_type}, {weyl.format_word(self.word)!r})"
+
+    @cached_property
+    def j_prime(self) -> tuple:
+        """J'(w, i): the first position (0-based) of each letter of J."""
+        return tuple(sorted(map(self.word.index, self.J)))
 
     @cached_property
     def tangent_sum(self) -> Character:
@@ -138,25 +155,10 @@ class BsdhWord:
         return _tangent_table(self.rs).walk(self.rs, self.word)
 
 
-def _reduced_vector(rs: RootSystem, word: tuple):
-    """w(rho) for the product w of a reduced word, or None if the word is
-    not reduced or has a letter out of range.
-
-    One right-to-left walk on x = (s_{i_k} ... s_{i_r})(rho): the letter
-    i_k lengthens that suffix exactly when x[i_k] > 0, since
-    <v(rho), alpha_i^vee> is positive iff v^{-1}(alpha_i) is a positive
-    root.
-    """
-    roots, n = rs.simple_roots, rs.rank
-    x = rs.rho
-    try:
-        for i in reversed(word):
-            if not 0 <= i < n or x[i] < 0:
-                return None
-            x = weyl._reflect(x, i, roots)
-    except TypeError:        # a letter that is no index
-        return None
-    return x
+@lru_cache(maxsize=None)
+def _bits(mask: int) -> tuple:
+    """The indices of the set bits of a mask, in ascending order."""
+    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
 def _orth_masks(rs: RootSystem) -> tuple:
@@ -242,16 +244,6 @@ class TangentReport:
     J: tuple
     supp: tuple
     d: int
-
-    @property
-    def per_step(self) -> list:
-        """per_step[j] is the contribution of the (j+1)-st P^1-level: the
-        Euler characteristic (or exact section character, per mode) of the
-        line bundle of alpha_{i_{j+1}} along the prefix (i_1 ... i_{j+1}).
-        Computed on each read; ``total`` is their sum."""
-        rs, word = self.rs, self.word
-        return [euler_char(rs, word[: j + 1], rs.simple_roots[word[j]])
-                for j in range(len(word))]
 
     @property
     def zero_mult(self) -> int:

@@ -21,8 +21,7 @@ Words are counted by sweeping down the left descents one length at a time,
 holding two levels.  Because word counts explode in high rank (the F4
 longest element already has over two million reduced words), enumeration
 is guarded by a cap that the sweep checks as it goes, so an element far
-past the cap is refused in a few levels; exceeding the cap requires an
-explicit opt-in.
+past the cap is refused in a few levels; ``cap=None`` lifts it.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ __all__ = [
     "from_word",
     "identity",
     "simple_reflection",
-    "apply_word",
     "length",
     "inversions",
     "is_reduced",
@@ -67,7 +65,7 @@ class WordCapExceeded(RuntimeError):
     def __init__(self, cap: int):
         super().__init__(
             f"element has more than {cap} reduced words; "
-            "pass allow_large=True (CLI: --allow-large) to enumerate anyway"
+            "pass cap=None (CLI: --allow-large) to enumerate anyway"
         )
         self.cap = cap
 
@@ -146,11 +144,6 @@ def from_word(rs: RootSystem, word: Sequence[int]) -> WeylElement:
         if not 0 <= i < rs.rank:
             raise IndexError(f"letter {i} out of range for {rs.cartan_type}")
     return _element(rs, _apply(rs.simple_roots, word, rs.rho))
-
-
-def apply_word(rs: RootSystem, word: Sequence[int], lam) -> Weight:
-    """Apply s_{i_1}...s_{i_r} to a weight."""
-    return Weight(_apply(rs.simple_roots, word, lam))
 
 
 # -- length, descents, inversions -------------------------------------
@@ -271,18 +264,17 @@ def _walk(rs: RootSystem, x: tuple) -> Iterator[tuple]:
 
 
 def reduced_words(rs: RootSystem, w: WeylElement, limit: Optional[int] = None,
-                  cap: int = DEFAULT_WORD_CAP,
-                  allow_large: bool = False) -> Iterator[tuple]:
+                  cap: Optional[int] = DEFAULT_WORD_CAP) -> Iterator[tuple]:
     """Stream every reduced word of w exactly once, lexicographically.
 
-    Unless ``allow_large`` is set, the first ``next()`` counts the words
-    up to ``cap`` and raises WordCapExceeded if there are more.  The words
+    Unless ``cap`` is None, the first ``next()`` counts the words up to
+    ``cap`` and raises WordCapExceeded if there are more.  The words
     are produced lazily, so taking a few of them costs a few walks down
     from w, not the whole list.  ``limit`` (a nonnegative int or None)
     truncates the stream; truncation is visible by comparing against
     count_words, not an error.
     """
-    if not allow_large and _count(rs, w.x, cap) > cap:
+    if cap is not None and _count(rs, w.x, cap) > cap:
         raise WordCapExceeded(cap)
     yield from islice(_walk(rs, w.x), limit)
 
@@ -302,8 +294,7 @@ def _rest_to_w0(rs: RootSystem, word: Sequence[int]) -> tuple:
 
 
 def completions_to_w0(rs: RootSystem, word: Sequence[int],
-                      cap: int = DEFAULT_WORD_CAP,
-                      allow_large: bool = False) -> Iterator[tuple]:
+                      cap: Optional[int] = DEFAULT_WORD_CAP) -> Iterator[tuple]:
     """All reduced words of w_0 whose prefix is the given reduced word.
 
     These are exactly word + t over reduced words t of u^{-1} w_0 (where u
@@ -314,7 +305,7 @@ def completions_to_w0(rs: RootSystem, word: Sequence[int],
         raise ValueError(f"word is not reduced; failing prefix {bad}")
     rest = _element(rs, _rest_to_w0(rs, word))
     prefix = tuple(word)
-    for t in reduced_words(rs, rest, cap=cap, allow_large=allow_large):
+    for t in reduced_words(rs, rest, cap=cap):
         yield prefix + t
 
 
@@ -327,12 +318,13 @@ def lower_interval(rs: RootSystem, w_word: Sequence[int]) -> frozenset:
     Dynamic programming over suffixes, on the vectors y = v(rho): prepend
     the next letter i to each collected v only when that increases length
     (y[i] > 0), giving s_i(y); this enumerates exactly the products of
-    reduced subwords.
+    reduced subwords.  The interval depends only on w, so it is memoised
+    per element: every reduced word of w shares one entry.
     """
     bad = unreduced_prefix(rs, w_word)
     if bad is not None:
         raise ValueError(f"word is not reduced; failing prefix {bad}")
-    key = ("interval", tuple(w_word))
+    key = ("interval", _apply(rs.simple_roots, w_word, rs.rho))
     got = rs._caches.get(key)
     if got is not None:
         return got

@@ -15,7 +15,7 @@ from itertools import combinations, product
 from operator import mul
 from typing import Sequence
 
-from bsdh.characters import Character
+from bsdh.characters import Character, euler_char
 from bsdh.roots import RootSystem, Weight
 from bsdh import weyl
 
@@ -255,13 +255,22 @@ def bruhat_leq_subword(rs: RootSystem, v: weyl.WeylElement,
                for positions in combinations(range(len(word)), r))
 
 
+def per_step(rs: RootSystem, word: Sequence[int]) -> list:
+    """The tangent sum one P^1-level at a time: entry j is the Euler
+    characteristic of the line bundle of alpha_{i_{j+1}} along the prefix
+    (i_1 ... i_{j+1}), with no Horner sharing between levels; the tangent
+    sum is their total."""
+    return [euler_char(rs, word[: j + 1], rs.simple_roots[word[j]])
+            for j in range(len(word))]
+
+
 def w0_classes_by_enumeration(rs: RootSystem) -> dict:
     """{J: number of reduced words of w_0 with that J}, by listing every
     word.  J' is computed here with its own loop: position l counts when
     its letter pairs to zero with every earlier letter."""
     buckets: dict = {}
     w0 = weyl.longest_element(rs)
-    for word in weyl.reduced_words(rs, w0, allow_large=True):
+    for word in weyl.reduced_words(rs, w0, cap=None):
         letters = set()
         for l, b in enumerate(word):
             if all(rs.cartan[a][b] == 0 for a in word[:l]):

@@ -130,8 +130,16 @@ def test_classify_all_w0_cap(rs):
     a3 = rs("A3")
     with pytest.raises(weyl.WordCapExceeded):
         classify_all_w0(a3, cap=4)
-    classes = classify_all_w0(a3, cap=4, allow_large=True)
+    classes = classify_all_w0(a3, cap=None)
     assert sum(classes.buckets.values()) == 16
+
+
+def test_classify_all_w0_with_no_cap_never_counts(rs, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("counted with no cap")
+
+    monkeypatch.setattr(weyl, "_count", refuse)
+    assert classify_all_w0(rs("B3"), cap=None).total_words == 42
 
 
 def test_classify_all_w0_cap_boundary(rs):
@@ -153,7 +161,7 @@ def test_classify_all_w0_matches_enumeration(rs, name):
 
 def test_classify_all_w0_f4(rs):
     f4 = rs("F4")
-    classes = classify_all_w0(f4, allow_large=True)
+    classes = classify_all_w0(f4, cap=None)
     assert classes.total_words == count_reduced_words(
         f4, weyl.longest_element(f4)) == 2_144_892
     assert sum(classes.buckets.values()) == classes.total_words
@@ -188,6 +196,24 @@ def test_verify_passing_suites(rs, suite, name, options):
     report = verify(suite, rs(name), **options)
     assert report.ok, report.failures[:3]
     assert report.cases > 0
+
+
+@pytest.mark.parametrize("suite,option", [
+    ("operators", "weights"),
+    ("operators", "cap"),
+    ("euler", "cases"),
+    ("simply-laced-theorems", "weights"),
+    ("kernel", "cases"),
+    ("kernel", "seed"),
+    ("w0-all-types", "sample"),
+    ("schubert-adjoint", "seed"),
+    ("operators", "allow_large"),
+])
+def test_verify_rejects_options_the_suite_does_not_take(rs, suite, option):
+    with pytest.raises(ValueError) as err:
+        verify(suite, rs("A2"), **{option: 1})
+    assert repr(suite) in str(err.value)
+    assert repr(option) in str(err.value)
 
 
 def test_verify_kernel_requires_simply_laced(rs):
@@ -240,12 +266,12 @@ def test_w0_classes_are_the_independent_sets(rs, name):
     # the J sets that occur for w_0 are exactly the nonempty sets of
     # pairwise orthogonal simple roots
     system = rs(name)
-    classes = classify_all_w0(system, allow_large=True)
+    classes = classify_all_w0(system, cap=None)
     assert set(classes.buckets) == independent_sets(system)
 
 
 def test_classify_all_w0_e6(rs):
-    classes = classify_all_w0(rs("E6"), allow_large=True)
+    classes = classify_all_w0(rs("E6"), cap=None)
     assert len(classes.buckets) == 21
     assert classes.total_words == 1_266_633_313_578_528
     assert sum(classes.buckets.values()) == classes.total_words

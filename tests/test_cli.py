@@ -372,6 +372,36 @@ def test_verify_allow_large_lifts_the_cap(run):
     assert json.loads(lifted.output)["cases"] == 16
 
 
+@pytest.mark.parametrize("args,option", [
+    (("--suite", "kernel", "-t", "A3", "--cases", "5"), "cases"),
+    (("--suite", "operators", "-t", "A2", "--weights", "3"), "weights"),
+    (("--suite", "schubert-adjoint", "-t", "A2", "--seed", "1"), "seed"),
+    (("--suite", "euler", "-t", "A2", "--all-words"), "w0_only"),
+    (("--suite", "operators", "-t", "A2", "--allow-large"), "cap"),
+])
+def test_verify_rejects_options_the_suite_ignores(run, args, option):
+    res = run("verify", *args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert f"suite {args[1]!r} takes no option {option!r}" in res.stderr
+
+
+def test_verify_passes_only_the_options_given(run, monkeypatch):
+    seen = []
+
+    def record(suite, rs, **options):
+        seen.append(options)
+        return cli.autgroup.VerifyReport(suite=suite, rs=rs, cases=0)
+
+    monkeypatch.setattr(cli.autgroup, "verify", record)
+    for args in [(), ("--seed", "0"), ("--cap", "7"), ("--allow-large",),
+                 ("--cases", "3", "--w0-only")]:
+        assert run("verify", "--suite", "kernel", "-t", "A2",
+                   *args).exit_code == 0
+    assert seen == [{}, {"seed": 0}, {"cap": 7}, {"cap": None},
+                    {"cases": 3, "w0_only": True}]
+
+
 @pytest.mark.parametrize("flag,value", [("--cases", "-5"), ("--weights", "-3"),
                                         ("--sample", "-1"), ("--cap", "-1")])
 def test_verify_negative_counts_are_input_errors(run, flag, value):

@@ -11,6 +11,8 @@ from bsdh.tangent import (BsdhWord, KernelReport, TangentReport,
                           tangent_euler_char, tangent_h0_char)
 from bsdh import tangent, weyl
 
+import oracles
+
 
 def mono(*coords):
     return Character.monomial(tuple(coords))
@@ -18,8 +20,7 @@ def mono(*coords):
 
 def euler_char_sum(system, word):
     """The tangent sum by its definition: one Demazure string per level."""
-    return sum(tangent_euler_char(BsdhWord(system, word)).per_step,
-               Character.zero())
+    return sum(oracles.per_step(system, word), Character.zero())
 
 
 # -- BsdhWord ---------------------------------------------------------------
@@ -37,7 +38,7 @@ def test_bsdh_word_empty(rs):
     b = BsdhWord(rs("A2"), ())
     assert b.J == () and b.supp == () and b.d == 0
     rep = tangent_euler_char(b)
-    assert rep.total.is_zero() and rep.per_step == []
+    assert rep.total.is_zero() and oracles.per_step(b.rs, b.word) == []
 
 
 def test_bsdh_word_sets(rs):
@@ -135,7 +136,7 @@ def _horner_suffix_sums(system, word):
 def test_shared_tangent_table_matches_the_per_level_sum(name):
     oracle = RootSystem.of(name)
     words = list(weyl.reduced_words(oracle, weyl.longest_element(oracle)))
-    if name in ("A3", "B3"):
+    if name in ("A3", "B3", "C3", "G2"):
         words = sorted({w[:r] for w in words for r in range(len(w) + 1)})
     fresh, warm = RootSystem.of(name), RootSystem.of(name)
     # warm one table with another word list: a word of every element
@@ -209,8 +210,9 @@ def test_horner_total_is_the_sum_of_the_per_prefix_strings(rs):
         system = rs(name)
         for w in weyl.all_elements(system)[::5]:
             rep = tangent_euler_char(BsdhWord(system, weyl.canonical_word(system, w)))
-            assert len(rep.per_step) == len(rep.word)
-            assert sum(rep.per_step, Character.zero()) == rep.total
+            levels = oracles.per_step(system, rep.word)
+            assert len(levels) == len(rep.word)
+            assert sum(levels, Character.zero()) == rep.total
 
 
 def test_tangent_zero_mult_equals_d_simply_laced(rs):

@@ -140,7 +140,20 @@ def test_word_cap(rs):
     w0 = weyl.longest_element(a3)
     with pytest.raises(weyl.WordCapExceeded):
         list(weyl.reduced_words(a3, w0, cap=5))
-    assert len(list(weyl.reduced_words(a3, w0, cap=5, allow_large=True))) == 16
+    assert len(list(weyl.reduced_words(a3, w0, cap=None))) == 16
+
+
+def test_no_cap_never_counts(rs, monkeypatch):
+    a3 = rs("A3")
+    w0 = weyl.longest_element(a3)
+    expected = list(weyl.reduced_words(a3, w0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("counted with no cap")
+
+    monkeypatch.setattr(weyl, "_count", refuse)
+    assert list(weyl.reduced_words(a3, w0, cap=None)) == expected
+    assert list(weyl.completions_to_w0(a3, (), cap=None)) == expected
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "G2"])
@@ -159,7 +172,7 @@ def test_word_cap_message_states_a_lower_bound(rs):
     with pytest.raises(weyl.WordCapExceeded) as info:
         next(weyl.reduced_words(b3, weyl.longest_element(b3), cap=41))
     assert str(info.value) == (
-        "element has more than 41 reduced words; pass allow_large=True "
+        "element has more than 41 reduced words; pass cap=None "
         "(CLI: --allow-large) to enumerate anyway")
     assert info.value.cap == 41
 
@@ -192,6 +205,21 @@ def test_bruhat_examples(rs):
     assert weyl.bruhat_leq(a2, s2, (0, 1))
     assert not weyl.bruhat_leq(a2, s2s1, (0, 1))
     assert len(weyl.lower_interval(a2, (0, 1, 0))) == 6
+
+
+def test_lower_interval_is_memoised_per_element(rs):
+    a3 = rs("A3")
+    w0 = weyl.longest_element(a3)
+    words = list(weyl.reduced_words(a3, w0))
+    # every reduced word of one element shares one interval
+    intervals = {id(weyl.lower_interval(a3, word)) for word in words}
+    assert len(intervals) == 1
+    cuts = {word[:r] for word in words for r in range(len(word) + 1)}
+    for cut in cuts:
+        weyl.lower_interval(a3, cut)
+    elements = {weyl.from_word(a3, cut) for cut in cuts}
+    memos = [key for key in a3._caches if key[0] == "interval"]
+    assert 0 < len(memos) <= len(elements) < len(cuts)
 
 
 def test_bruhat_against_subword_oracle():
