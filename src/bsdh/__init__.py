@@ -20,8 +20,7 @@ from .weyl import (WeylElement, WordCapExceeded, all_elements,
                    alpha0_criterion, bruhat_leq, canonical_word,
                    completions_to_w0, count_words, format_word, from_word,
                    inversions, is_reduced, length, longest_element,
-                   lower_interval, parse_word, reduced_words,
-                   unreduced_prefix)
+                   parse_word, reduced_words, unreduced_prefix)
 from .characters import (Character, demazure_character, demazure_step,
                          euler_char, reference_chars)
 from .tangent import (BsdhWord, KernelReport, TangentReport,

@@ -199,7 +199,6 @@ class RootSystem:
         self.simple_roots = tuple(
             Weight(cartan[i][j] for i in range(self.rank)) for j in range(self.rank)
         )
-        self._root_by_weight = {r.weight: r for r in positive_roots}
         # per simple root i: the shift of field i of a packed weight, and
         # the packed delta of alpha_i (pack(lam + alpha_i) - pack(lam))
         n = self.rank
@@ -208,10 +207,9 @@ class RootSystem:
              sum(a << PACK_BITS * (n - 1 - k) for k, a in enumerate(alpha)))
             for i, alpha in enumerate(self.simple_roots))
         self._cartan_adjugate = _adjugate(cartan)
-        # memos: the weyl module's lower intervals (key ("interval", w(rho)))
-        # and whole-group list (key "elements"); the tangent module's
-        # transition table (key "tangent"), orthogonality masks (key
-        # "orth") and char p_J (key ("p_J", J))
+        # memos: the weyl module's whole-group list (key "elements"); the
+        # tangent module's transition table (key "tangent"), orthogonality
+        # masks (key "orth") and char p_J (key ("p_J", J))
         self._caches: dict = {}
 
     @classmethod
@@ -219,9 +217,6 @@ class RootSystem:
         return build_root_system(CartanType.parse(name))
 
     # -- basic queries -------------------------------------------------
-
-    def is_negative_root(self, w) -> bool:
-        return tuple(-c for c in w) in self._root_by_weight
 
     def root_length(self, beta: Root) -> str:
         """"short" or "long" for any root (simply laced: all "long")."""

@@ -55,9 +55,11 @@ The combinatorial sets attached to a word:
   (position 1 always qualifies).
 * supp(w): the set of distinct letters, with d(w) = |supp(w)| — a
   word-independent invariant of the element.
-* R_w: positive roots inverted by no v^{-1} with v <= w; together with
-  J_1 (new orthogonal letters of a completion) it shapes the kernel of
-  restriction from Z(w_0, j) to Z(w, i).
+* R_w: positive roots inverted by no v^{-1} with v <= w, that is R+
+  minus U, by the suffix recurrence U(i.t) = U(t) ∪ s_i(U(t) minus
+  {alpha_i}) ∪ {alpha_i} with U(()) empty; with J_1 (new orthogonal
+  letters of a completion) it shapes the kernel of restriction from
+  Z(w_0, j) to Z(w, i).
 """
 
 from __future__ import annotations
@@ -65,10 +67,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .roots import RootSystem, dominance_leq
-from .characters import Character, demazure_step, euler_char, reference_chars
+from .characters import Character, demazure_step, reference_chars
 from . import weyl
 
 __all__ = [
@@ -318,15 +320,14 @@ def h1_w0_char(b: BsdhWord) -> Character:
 def schubert_tangent_char(rs: RootSystem, w: "weyl.WeylElement") -> Character:
     """char H^0(X(w), T_{G/B} restricted): the string sum over all of R+.
 
-    Exact in every type (higher cohomology of the restricted tangent
-    bundle vanishes on Schubert varieties); independent of the choice of
-    reduced word for w.
+    D_w is linear, so that sum is one Demazure chain D_w(char g/b).  Exact
+    in every type (higher cohomology of the restricted tangent bundle
+    vanishes on Schubert varieties); independent of the reduced word of w.
     """
-    word = weyl.canonical_word(rs, w)
-    total = Character.zero()
-    for beta in rs.positive_roots:
-        total = total + euler_char(rs, word, beta.weight)
-    return total
+    chi = reference_chars(rs).char_g_mod_b
+    for i in reversed(weyl.canonical_word(rs, w)):
+        chi = demazure_step(rs, i, chi)
+    return chi
 
 
 def adjoint_containment(rs: RootSystem, w: "weyl.WeylElement") -> bool:
@@ -341,14 +342,20 @@ def adjoint_containment(rs: RootSystem, w: "weyl.WeylElement") -> bool:
 
 
 def root_subset_R_w(rs: RootSystem, word: Sequence[int]) -> set:
-    """R_w = R+ minus the union of R+(v^{-1}) over v <= w.
+    """R_w = R+ minus U(w), where U(w) is the union of R+(v^{-1}) over v <= w.
 
-    Computed literally from the Bruhat lower interval.  R+(v^{-1}) is
-    read off the vector v(rho): it is {beta in R+ : <v(rho), beta^vee> < 0}.
+    U is built on root weights walking the word from the right, from U(e)
+    empty.  Each letter lengthens the suffix (s_i w > w), so by the subword
+    property [e, s_i w] = [e, w] ∪ s_i[e, w], and as R+((s_i v)^{-1}) is
+    {alpha_i} ∪ s_i R+(v^{-1}) or s_i(R+(v^{-1}) minus {alpha_i}):
+    U(s_i w) = U(w) ∪ s_i(U(w) minus {alpha_i}) ∪ {alpha_i}.
     """
-    interval = weyl.lower_interval(rs, word)
-    return {beta for beta in rs.positive_roots
-            if all(rs.coroot_pairing(v.x, beta) > 0 for v in interval)}
+    weyl._require_reduced(rs, word)
+    roots, U = rs.simple_roots, set()
+    for i in reversed(word):
+        U |= {weyl._reflect(beta, i, roots) for beta in U if beta != roots[i]}
+        U.add(roots[i])
+    return {beta for beta in rs.positive_roots if beta.weight not in U}
 
 
 @dataclass

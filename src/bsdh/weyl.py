@@ -22,6 +22,9 @@ holding two levels.  Because word counts explode in high rank (the F4
 longest element already has over two million reduced words), enumeration
 is guarded by a cap that the sweep checks as it goes, so an element far
 past the cap is refused in a few levels; ``cap=None`` lifts it.
+
+Bruhat order is tested by the lifting property with no interval: strip
+the letters of a reduced word of w from v where they are descents of v.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator, Optional, Sequence
 
-from .roots import Root, RootSystem, Weight
+from .roots import RootSystem, Weight
 
 __all__ = [
     "WeylElement",
@@ -48,7 +51,6 @@ __all__ = [
     "canonical_word",
     "completions_to_w0",
     "bruhat_leq",
-    "lower_interval",
     "alpha0_criterion",
     "all_elements",
     "weyl_order",
@@ -113,9 +115,6 @@ class WeylElement:
     def __matmul__(self, other: "WeylElement") -> "WeylElement":
         return WeylElement(tuple(self.apply(other.x)), self.simple_roots)
 
-    def is_identity(self) -> bool:
-        return all(c == 1 for c in self.x)
-
 
 def _element(rs: RootSystem, x) -> WeylElement:
     return WeylElement(tuple(x), rs.simple_roots)
@@ -160,11 +159,6 @@ def length(rs: RootSystem, w: WeylElement) -> int:
     return sum(rs.coroot_pairing(w.x, beta) < 0 for beta in rs.positive_roots)
 
 
-def right_descents(rs: RootSystem, w: WeylElement) -> list:
-    """Indices i with l(w s_i) < l(w): the left descents of w^{-1}."""
-    return [i for i, c in enumerate(_inverse_vector(w)) if c < 0]
-
-
 def unreduced_prefix(rs: RootSystem, word: Sequence[int]) -> Optional[tuple]:
     """The shortest non-reduced prefix of the word, or None if reduced.
 
@@ -180,6 +174,12 @@ def unreduced_prefix(rs: RootSystem, word: Sequence[int]) -> Optional[tuple]:
             return tuple(word[: k + 1])
         v = _reflect(v, i, roots)
     return None
+
+
+def _require_reduced(rs: RootSystem, word: Sequence[int]) -> None:
+    bad = unreduced_prefix(rs, word)
+    if bad is not None:
+        raise ValueError(f"word is not reduced; failing prefix {bad}")
 
 
 def is_reduced(rs: RootSystem, word: Sequence[int]) -> bool:
@@ -300,9 +300,7 @@ def completions_to_w0(rs: RootSystem, word: Sequence[int],
     These are exactly word + t over reduced words t of u^{-1} w_0 (where u
     is the word's element), since lengths are always additive against w_0.
     """
-    bad = unreduced_prefix(rs, word)
-    if bad is not None:
-        raise ValueError(f"word is not reduced; failing prefix {bad}")
+    _require_reduced(rs, word)
     rest = _element(rs, _rest_to_w0(rs, word))
     prefix = tuple(word)
     for t in reduced_words(rs, rest, cap=cap):
@@ -312,34 +310,21 @@ def completions_to_w0(rs: RootSystem, word: Sequence[int],
 # -- Bruhat order ------------------------------------------------------
 
 
-def lower_interval(rs: RootSystem, w_word: Sequence[int]) -> frozenset:
-    """{v : v <= w} via the subword property on one fixed reduced word.
-
-    Dynamic programming over suffixes, on the vectors y = v(rho): prepend
-    the next letter i to each collected v only when that increases length
-    (y[i] > 0), giving s_i(y); this enumerates exactly the products of
-    reduced subwords.  The interval depends only on w, so it is memoised
-    per element: every reduced word of w shares one entry.
-    """
-    bad = unreduced_prefix(rs, w_word)
-    if bad is not None:
-        raise ValueError(f"word is not reduced; failing prefix {bad}")
-    key = ("interval", _apply(rs.simple_roots, w_word, rs.rho))
-    got = rs._caches.get(key)
-    if got is not None:
-        return got
-    roots = rs.simple_roots
-    current = {rs.rho}
-    for i in reversed(w_word):
-        current |= {_reflect(y, i, roots) for y in current if y[i] > 0}
-    result = frozenset(_element(rs, y) for y in current)
-    rs._caches[key] = result
-    return result
-
-
 def bruhat_leq(rs: RootSystem, v: WeylElement, w_word: Sequence[int]) -> bool:
-    """v <= w in Bruhat order (subword property along w_word)."""
-    return v in lower_interval(rs, w_word)
+    """v <= w in Bruhat order, by the lifting property along w_word.
+
+    Each letter i of a reduced word of w, read left to right, is a left
+    descent of what is left of w.  If i is also a left descent of v
+    (y[i] < 0 for y = v(rho)), then v <= w iff s_i v <= s_i w; otherwise
+    v <= w iff v <= s_i w.  So strip i from v exactly when it is one of
+    its descents; once w is used up, v <= e iff y = rho.  O(l(w) rank).
+    """
+    _require_reduced(rs, w_word)
+    roots, y = rs.simple_roots, v.x
+    for i in w_word:
+        if y[i] < 0:
+            y = _reflect(y, i, roots)
+    return y == rs.rho
 
 
 # -- the highest-root criterion ---------------------------------------

@@ -3,8 +3,8 @@
 Each function here deliberately takes a different computational path from
 the library code it checks: actual Laurent-polynomial long division
 instead of branch-on-pairing string sums, subword enumeration instead of
-interval DP, a closed-form product instead of operator recursion.  The
-tests pass only when both paths agree.
+the lifting property and the R_w recurrence, a closed-form product
+instead of operator recursion.  The tests pass only when both paths agree.
 """
 
 from __future__ import annotations
@@ -148,15 +148,20 @@ def matrix_of(rs: RootSystem, w: weyl.WeylElement) -> tuple:
     return next(m for m in group_words(rs) if mat_apply(m, rs.rho) == x)
 
 
+def is_negative_root(rs: RootSystem, w) -> bool:
+    """Is the weight w minus a positive root?"""
+    return tuple(-c for c in w) in {beta.weight for beta in rs.positive_roots}
+
+
 def mat_inversions(rs: RootSystem, m: tuple) -> set:
     """R+(w) = {beta in R+ : M beta in R-}."""
     return {beta for beta in rs.positive_roots
-            if rs.is_negative_root(mat_apply(m, beta.weight))}
+            if is_negative_root(rs, mat_apply(m, beta.weight))}
 
 
 def mat_right_descents(rs: RootSystem, m: tuple) -> list:
     return [i for i in range(rs.rank)
-            if rs.is_negative_root(mat_apply(m, rs.simple_roots[i]))]
+            if is_negative_root(rs, mat_apply(m, rs.simple_roots[i]))]
 
 
 def mat_canonical_word(rs: RootSystem, m: tuple) -> tuple:
@@ -177,7 +182,7 @@ def mat_unreduced_prefix(rs: RootSystem, word: Sequence[int]):
     refl = reflection_matrices(rs)
     m = mat_identity(rs.rank)
     for k, i in enumerate(word):
-        if rs.is_negative_root(mat_apply(m, rs.simple_roots[i])):
+        if is_negative_root(rs, mat_apply(m, rs.simple_roots[i])):
             return tuple(word[: k + 1])
         m = matmul(m, refl[i])
     return None
@@ -191,6 +196,19 @@ def subword_products(rs: RootSystem, word: Sequence[int]) -> set:
     for i in word:
         products |= {matmul(m, refl[i]) for m in products}
     return products
+
+
+def root_subset_R_w_by_interval(rs: RootSystem, word: Sequence[int]) -> set:
+    """R_w by its definition: the positive roots beta with
+    <v(rho), beta^vee> > 0 for every v <= w, the interval taken as the
+    subword products of the word.  The pairing's sign is that of
+    sum_j c_j d_j v(rho)_j for beta = sum_j c_j alpha_j, where d_j are the
+    half-norms of the simple roots."""
+    tops = {mat_apply(m, rs.rho) for m in subword_products(rs, word)}
+    return {beta for beta in rs.positive_roots
+            if all(sum(c * d * y for c, d, y in
+                       zip(beta.root_coords, rs._norms, top)) > 0
+                   for top in tops)}
 
 
 def count_reduced_words(rs: RootSystem, w: weyl.WeylElement) -> int:
@@ -262,6 +280,18 @@ def per_step(rs: RootSystem, word: Sequence[int]) -> list:
     sum is their total."""
     return [euler_char(rs, word[: j + 1], rs.simple_roots[word[j]])
             for j in range(len(word))]
+
+
+def schubert_tangent_char_by_roots(rs: RootSystem,
+                                   w: weyl.WeylElement) -> Character:
+    """The Schubert tangent sum one positive root at a time: the Euler
+    character of each e^beta along the lexicographically first reduced
+    word of w, summed over beta in R+."""
+    word = next(weyl.reduced_words(rs, w))
+    total = Character.zero()
+    for beta in rs.positive_roots:
+        total = total + euler_char(rs, word, beta.weight)
+    return total
 
 
 def w0_classes_by_enumeration(rs: RootSystem) -> dict:

@@ -216,6 +216,12 @@ def test_verify_rejects_options_the_suite_does_not_take(rs, suite, option):
     assert repr(option) in str(err.value)
 
 
+def test_verify_kernel_leaves_no_interval_memo():
+    a3 = RootSystem.of("A3")
+    assert verify("kernel", a3).ok
+    assert not [key for key in a3._caches if "interval" in key]
+
+
 def test_verify_kernel_requires_simply_laced(rs):
     with pytest.raises(ValueError):
         verify("kernel", rs("B2"))

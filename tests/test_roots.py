@@ -1,3 +1,4 @@
+import importlib
 from random import Random
 
 import pytest
@@ -227,3 +228,11 @@ def test_coroot_pairing_agrees_with_weight_coords():
         for beta in system.positive_roots:
             for i in range(system.rank):
                 assert beta.weight[i] == pairing(system, beta.weight, i)
+
+
+@pytest.mark.parametrize("layer",
+                         ["roots", "weyl", "characters", "tangent", "autgroup"])
+def test_every_exported_name_resolves(layer):
+    # tracing tools look up each name of __all__ on its module
+    module = importlib.import_module(f"bsdh.{layer}")
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

@@ -359,6 +359,14 @@ def test_schubert_s1_positive_part(rs):
     assert not reference_chars(a2).char_g.leq(got)
 
 
+@pytest.mark.parametrize("name", ["A3", "B3", "G2"])
+def test_schubert_chain_against_the_per_root_sum(rs, name):
+    system = rs(name)
+    for w in weyl.all_elements(system):
+        assert schubert_tangent_char(system, w) \
+            == oracles.schubert_tangent_char_by_roots(system, w)
+
+
 def test_adjoint_containment_examples(rs):
     a2 = rs("A2")
     assert adjoint_containment(a2, weyl.longest_element(a2))
@@ -382,6 +390,21 @@ def test_R_w_examples(rs):
     assert as_coords(root_subset_R_w(a2, ())) == {(1, 0), (0, 1), (1, 1)}
     assert as_coords(root_subset_R_w(a2, (0,))) == {(0, 1), (1, 1)}
     assert as_coords(root_subset_R_w(a2, (0, 1, 0))) == set()
+    # s_2 s_3 s_1 and s_1 s_2 s_3 have the same letters but not the same R_w
+    a3 = rs("A3")
+    assert as_coords(root_subset_R_w(a3, (1, 2, 0))) == {(1, 1, 1)}
+    assert as_coords(root_subset_R_w(a3, (0, 1, 2))) == set()
+    with pytest.raises(ValueError, match=r"failing prefix \(0, 0\)"):
+        root_subset_R_w(a2, (0, 0))
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "D4"])
+def test_R_w_recurrence_against_the_interval_oracle(rs, name):
+    system = rs(name)
+    for w in weyl.all_elements(system):
+        word = weyl.canonical_word(system, w)
+        assert root_subset_R_w(system, word) \
+            == oracles.root_subset_R_w_by_interval(system, word), word
 
 
 def test_kernel_a2_frozen_example(rs):

@@ -14,7 +14,7 @@ from oracles import (bruhat_leq_subword, count_reduced_words,
 
 def test_from_word_identity_and_braid(rs):
     a2 = rs("A2")
-    assert weyl.from_word(a2, ()).is_identity()
+    assert weyl.from_word(a2, ()) == weyl.identity(a2)
     assert weyl.from_word(a2, (0, 1, 0)) == weyl.from_word(a2, (1, 0, 1))
 
 
@@ -72,7 +72,7 @@ def test_longest_element(rs):
         w0 = weyl.longest_element(system)
         assert weyl.length(system, w0) == n_inv
         for beta in system.positive_roots:
-            assert system.is_negative_root(w0.apply(beta.weight))
+            assert oracles.is_negative_root(system, w0.apply(beta.weight))
 
 
 def test_reduced_words_a2(rs):
@@ -204,22 +204,10 @@ def test_bruhat_examples(rs):
     assert weyl.bruhat_leq(a2, e, (0, 1))
     assert weyl.bruhat_leq(a2, s2, (0, 1))
     assert not weyl.bruhat_leq(a2, s2s1, (0, 1))
-    assert len(weyl.lower_interval(a2, (0, 1, 0))) == 6
-
-
-def test_lower_interval_is_memoised_per_element(rs):
-    a3 = rs("A3")
-    w0 = weyl.longest_element(a3)
-    words = list(weyl.reduced_words(a3, w0))
-    # every reduced word of one element shares one interval
-    intervals = {id(weyl.lower_interval(a3, word)) for word in words}
-    assert len(intervals) == 1
-    cuts = {word[:r] for word in words for r in range(len(word) + 1)}
-    for cut in cuts:
-        weyl.lower_interval(a3, cut)
-    elements = {weyl.from_word(a3, cut) for cut in cuts}
-    memos = [key for key in a3._caches if key[0] == "interval"]
-    assert 0 < len(memos) <= len(elements) < len(cuts)
+    assert sum(weyl.bruhat_leq(a2, v, (0, 1, 0))
+               for v in weyl.all_elements(a2)) == 6
+    with pytest.raises(ValueError, match=r"failing prefix \(0, 0\)"):
+        weyl.bruhat_leq(a2, e, (0, 0))
 
 
 def test_bruhat_against_subword_oracle():
@@ -228,11 +216,9 @@ def test_bruhat_against_subword_oracle():
         elements = weyl.all_elements(system)
         for w in elements:
             word = weyl.canonical_word(system, w)
-            interval = weyl.lower_interval(system, word)
             for v in elements:
                 expected = bruhat_leq_subword(system, v, word)
                 assert weyl.bruhat_leq(system, v, word) == expected
-                assert (v in interval) == expected
 
 
 def test_alpha0_criterion(rs):
@@ -303,7 +289,6 @@ def test_elements_against_the_matrix_oracle(rs, name):
             assert w.apply(lam) == oracles.mat_apply(m, lam)
         assert weyl.inversions(system, w) == oracles.mat_inversions(system, m)
         assert weyl.length(system, w) == len(word)
-        assert weyl.right_descents(system, w) == oracles.mat_right_descents(system, m)
         assert weyl.canonical_word(system, w) == oracles.mat_canonical_word(system, m)
         assert weyl.alpha0_criterion(system, w) == any(
             oracles.mat_apply(m, beta.weight) == tuple(-c for c in top)
@@ -313,6 +298,7 @@ def test_elements_against_the_matrix_oracle(rs, name):
             assert weyl.unreduced_prefix(system, longer) \
                 == oracles.mat_unreduced_prefix(system, longer)
         below = {elements[v] for v in oracles.subword_products(system, word)}
-        assert weyl.lower_interval(system, word) == below
+        assert {v for v in elements.values()
+                if weyl.bruhat_leq(system, v, word)} == below
         for v, u in factors:
             assert u @ w == elements[oracles.matmul(v, m)]
