@@ -39,9 +39,9 @@ from random import Random
 from .roots import RootSystem
 from .characters import Character, demazure_step, euler_char
 from .tangent import (BsdhWord, KernelReport, TangentReport,
-                      _bits, _char_p_J, _orth_masks, adjoint_containment,
-                      h1_w0_char, kernel_char, tangent_euler_char,
-                      tangent_h0_char)
+                      _bits, _orth_masks, _reference_chars,
+                      adjoint_containment, h1_w0_char, kernel_char,
+                      tangent_euler_char, tangent_h0_char)
 from . import weyl
 
 __all__ = [
@@ -99,13 +99,12 @@ def classify(b: BsdhWord, cap: int = weyl.DEFAULT_WORD_CAP) -> AutReport:
     subsampled, beyond).
     """
     rs = b.rs
-    w0 = weyl.longest_element(rs)
-    crit = weyl.alpha0_criterion(rs, b.element)
+    crit = b._criterion
     simply = rs.cartan_type.simply_laced()
     tangent = tangent_h0_char(b) if simply else tangent_euler_char(b)
 
     checked = 0
-    if b.element == w0:
+    if b._is_w0:
         status = STATUS_EXACT
     elif simply and crit:
         status = STATUS_EXACT
@@ -286,8 +285,8 @@ def _suite_euler(rs, report, *, weights=50, seed=0, cap=weyl.DEFAULT_WORD_CAP):
 def _check_sl_word(rs, word, report):
     b = BsdhWord(rs, word)
     rep = tangent_h0_char(b)
-    crit = weyl.alpha0_criterion(rs, b.element)
-    p_J = _char_p_J(rs, b.J)
+    crit = b._criterion
+    p_J = _reference_chars(rs, b.J).char_p_J
     word_s = weyl.format_word(word)
 
     report.cases += 1

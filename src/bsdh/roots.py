@@ -208,8 +208,9 @@ class RootSystem:
             for i, alpha in enumerate(self.simple_roots))
         self._cartan_adjugate = _adjugate(cartan)
         # memos: the weyl module's whole-group list (key "elements"); the
-        # tangent module's transition table (key "tangent"), orthogonality
-        # masks (key "orth") and char p_J (key ("p_J", J))
+        # tangent module's transition table (key "tangent"), element table
+        # (key "walk"), orthogonality masks (key "orth") and reference
+        # characters (key ("reference", J))
         self._caches: dict = {}
 
     @classmethod

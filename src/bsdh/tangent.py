@@ -42,13 +42,27 @@ is 52 states and 136 transitions; over all 24,024 in B4, 156 states and
 T(i.t) depends on i and T(t) alone, and keying on w(rho) as well would
 split each state by every element it occurs at.
 
+Words are validated through a second table per root system (key "walk"),
+built by the first BsdhWord and never at import or with the root system:
+an id per element vector w(rho) met, and the map (id of w, letter i) ->
+id of s_i w, or a mark when i is a left descent of w.  What depends on
+the element alone (its WeylElement, supp(w), the alpha0 criterion,
+whether it is w_0, and U(w) below) is computed once, from its
+predecessor, when a walk first reaches it, so a word costs a type and
+range check, one dict lookup and the J update per letter.  The table
+grows by one element per new transition walked and never closes over W:
+at most |W| elements and |W| rank transitions, |W| rank / 2 of them
+ascents (all a reduced word takes).  All 2,316 D4 w_0 words reach its
+192 elements and 384 ascents, all 24,024 of B4 its 384 and 768, and all
+2,144,892 of F4 its 1,152 and 2,304.
+
 The combinatorial sets attached to a word:
 
 * J(w, i), recorded as simple indices, by the suffix recurrence
   J(i.t) = {i} ∪ {j in J(t) : <alpha_j, alpha_i^vee> = 0} with J(()) empty;
   on bit masks, J = 1 << i | J & orth[i] with the per-letter
   orthogonality masks of the root system, taken in the same
-  right-to-left walk that checks the word is reduced and builds w(rho).
+  right-to-left walk through the element table that checks the word.
   Its letters are pairwise orthogonal and pairwise distinct.
 * J'(w, i): the first position of each letter of J, which are exactly
   the positions whose letter is orthogonal to every earlier letter
@@ -57,7 +71,8 @@ The combinatorial sets attached to a word:
   word-independent invariant of the element.
 * R_w: positive roots inverted by no v^{-1} with v <= w, that is R+
   minus U, by the suffix recurrence U(i.t) = U(t) ∪ s_i(U(t) minus
-  {alpha_i}) ∪ {alpha_i} with U(()) empty; with J_1 (new orthogonal
+  {alpha_i}) ∪ {alpha_i} with U(()) empty, kept per element as a mask
+  over R+ in the element table; with J_1 (new orthogonal
   letters of a completion) it shapes the kernel of restriction from
   Z(w_0, j) to Z(w, i).
 """
@@ -94,42 +109,29 @@ class BsdhWord:
     """A root system with a validated reduced word and its cached data.
 
     Raises ValueError (naming the shortest failing prefix) if the word is
-    not reduced, and IndexError for a letter out of range, exactly as
-    ``weyl.unreduced_prefix`` does.  The empty word is allowed and
-    describes a point.
+    not reduced, IndexError for a letter out of range and TypeError for a
+    letter that is no index, exactly as ``weyl.unreduced_prefix`` does,
+    and TypeError for letters that index like ints but are none.  The
+    word is walked through the root system's element table (see the
+    module docstring).  The empty word is allowed and describes a point.
     """
 
     def __init__(self, rs: RootSystem, word: Sequence[int]):
         word = tuple(word)
-        roots, n, orth = rs.simple_roots, rs.rank, _orth_masks(rs)
-        reflect = weyl._reflect
-        # one right-to-left walk over the suffixes t = (i_k ... i_r),
-        # carrying x = t(rho) and the masks of J(t) (see the module
-        # docstring) and supp(t); i_k lengthens t exactly when x[i_k] > 0,
-        # since <v(rho), alpha_i^vee> is positive iff v^{-1}(alpha_i) is a
-        # positive root
-        x, J, supp, reduced = rs.rho, 0, 0, True
-        try:
-            for i in reversed(word):
-                if not 0 <= i < n or x[i] < 0:
-                    reduced = False
-                    break
-                x = reflect(x, i, roots)
-                J = 1 << i | J & orth[i]
-                supp |= 1 << i
-        except TypeError:        # a letter that is no index
-            reduced = False
-        if not reduced:
+        table = _walk_table(rs)
+        s, J = table.walk(rs, word)
+        if s < 0:
             # rescan left to right for the error of the first bad letter
             bad = weyl.unreduced_prefix(rs, word)
+            if bad is None:
+                raise TypeError(f"letters of {word!r} must be ints")
             raise ValueError(
                 f"word {weyl.format_word(word)} is not reduced; "
                 f"failing prefix {weyl.format_word(bad)}")
         self.rs = rs
         self.word = word
-        self.element = weyl._element(rs, x)
+        self.element, self.supp, self._criterion, self._is_w0 = table.facts[s]
         self.J = _bits(J)
-        self.supp = _bits(supp)
         self.d = len(self.supp)
 
     def __repr__(self) -> str:
@@ -175,13 +177,13 @@ def _orth_masks(rs: RootSystem) -> tuple:
     return masks
 
 
-def _char_p_J(rs: RootSystem, J: tuple) -> Character:
-    """char p_J, built once per root system and J."""
-    key = ("p_J", J)
-    chi = rs._caches.get(key)
-    if chi is None:
-        chi = rs._caches[key] = reference_chars(rs, J).char_p_J
-    return chi
+def _reference_chars(rs: RootSystem, J: tuple = ()):
+    """reference_chars(rs, J), built once per root system and J."""
+    key = ("reference", J)
+    ref = rs._caches.get(key)
+    if ref is None:
+        ref = rs._caches[key] = reference_chars(rs, J)
+    return ref
 
 
 class _TangentTable:
@@ -232,6 +234,88 @@ def _tangent_table(rs: RootSystem) -> _TangentTable:
     table = rs._caches.get("tangent")
     if table is None:
         table = rs._caches.setdefault("tangent", _TangentTable(rs))
+    return table
+
+
+class _WalkTable:
+    """Elements of one root system met by word walks: element e has id
+    ``ids[x]`` for its vector x = e(rho) (id 0 is the identity), and
+    ``step`` maps id * rank + i to the id of s_i e, or to -1 when i is a
+    left descent of e (x[i] < 0).  ``facts[id]`` holds what depends on
+    the element alone, computed once when it is interned from its
+    predecessor e' = s_i e: the WeylElement, supp(e) = supp(e') ∪ {i},
+    alpha0_criterion and whether e is w_0; ``U[id]`` is U(e) as a mask
+    over R+ (bit k for positive_roots[k]), by the recurrence in the module
+    docstring with ``perm[i][k]``, the index of s_i(beta_k) (k itself for
+    alpha_i).  Interning takes a lock, as _TangentTable's does.
+    """
+
+    __slots__ = ("ids", "step", "facts", "U", "perm", "alpha_bits", "orth",
+                 "lock")
+
+    def __init__(self, rs: RootSystem):
+        roots, pos = rs.simple_roots, rs.positive_roots
+        index = {beta.weight: k for k, beta in enumerate(pos)}
+        self.ids = {rs.rho: 0}
+        self.step: dict = {}
+        self.facts = [_element_facts(rs, rs.rho, ())]
+        self.U = [0]
+        self.perm = [[index.get(weyl._reflect(beta.weight, i, roots), k)
+                      for k, beta in enumerate(pos)] for i in range(rs.rank)]
+        self.alpha_bits = [1 << index[alpha] for alpha in roots]
+        self.orth = _orth_masks(rs)
+        self.lock = threading.Lock()
+
+    def walk(self, rs: RootSystem, word: tuple) -> tuple:
+        """(id, J mask) of the word's element, by the right-to-left walk
+        over its suffixes t with J(t) as in the module docstring; (-1, 0)
+        if a letter is no index in range or the word is not reduced."""
+        n, step, orth = rs.rank, self.step, self.orth
+        s = J = 0
+        for i in reversed(word):
+            # the type test first: a float would find the key of the int
+            # it equals, and a negative letter that of another state
+            if not (isinstance(i, int) and 0 <= i < n):
+                return -1, 0
+            t = step.get(s * n + i)
+            if t is None:
+                t = self._add(rs, s, i)
+            if t < 0:
+                return -1, 0
+            s = t
+            J = 1 << i | J & orth[i]
+        return s, J
+
+    def _add(self, rs: RootSystem, s: int, i: int) -> int:
+        """Record the transition from id s by letter i, interning s_i e."""
+        x, t = self.facts[s][0].x, -1
+        if x[i] > 0:
+            y = weyl._reflect(x, i, rs.simple_roots)
+            with self.lock:
+                t = self.ids.get(y)
+                if t is None:
+                    t = len(self.facts)
+                    self.facts.append(_element_facts(
+                        rs, y, tuple(sorted({*self.facts[s][1], i}))))
+                    U, perm = self.U[s], self.perm[i]
+                    self.U.append(U | self.alpha_bits[i] | sum(
+                        1 << perm[k] for k in range(len(perm)) if U >> k & 1))
+                    self.ids[y] = t
+        self.step[s * rs.rank + i] = t
+        return t
+
+
+def _element_facts(rs: RootSystem, x: tuple, supp: tuple) -> tuple:
+    """(WeylElement, supp, alpha0_criterion, is w_0) of the vector x."""
+    w = weyl._element(rs, x)
+    return (w, supp, weyl.alpha0_criterion(rs, w),
+            w == weyl.longest_element(rs))
+
+
+def _walk_table(rs: RootSystem) -> _WalkTable:
+    table = rs._caches.get("walk")
+    if table is None:
+        table = rs._caches.setdefault("walk", _WalkTable(rs))
     return table
 
 
@@ -311,10 +395,10 @@ def h1_w0_char(b: BsdhWord) -> Character:
     be nonzero: it is 1 for the B2 word 2,1,2,1, and 2 and 1 for the G2
     words 1,2,1,2,1,2 and 2,1,2,1,2,1.
     """
-    if b.element != weyl.longest_element(b.rs):
+    if not b._is_w0:
         raise ValueError("word does not multiply to the longest element; "
                          "H^1 is only determined there")
-    return _char_p_J(b.rs, b.J) - b.tangent_sum
+    return _reference_chars(b.rs, b.J).char_p_J - b.tangent_sum
 
 
 def schubert_tangent_char(rs: RootSystem, w: "weyl.WeylElement") -> Character:
@@ -324,7 +408,7 @@ def schubert_tangent_char(rs: RootSystem, w: "weyl.WeylElement") -> Character:
     in every type (higher cohomology of the restricted tangent bundle
     vanishes on Schubert varieties); independent of the reduced word of w.
     """
-    chi = reference_chars(rs).char_g_mod_b
+    chi = _reference_chars(rs).char_g_mod_b
     for i in reversed(weyl.canonical_word(rs, w)):
         chi = demazure_step(rs, i, chi)
     return chi
@@ -334,7 +418,7 @@ def adjoint_containment(rs: RootSystem, w: "weyl.WeylElement") -> bool:
     """Does the adjoint character embed coefficientwise in the Schubert
     tangent sections?  Equivalent to the highest-root criterion
     w^{-1}(alpha_0) < 0; both sides are computed independently here."""
-    g = reference_chars(rs).char_g
+    g = _reference_chars(rs).char_g
     return g.leq(schubert_tangent_char(rs, w))
 
 
@@ -344,18 +428,20 @@ def adjoint_containment(rs: RootSystem, w: "weyl.WeylElement") -> bool:
 def root_subset_R_w(rs: RootSystem, word: Sequence[int]) -> set:
     """R_w = R+ minus U(w), where U(w) is the union of R+(v^{-1}) over v <= w.
 
-    U is built on root weights walking the word from the right, from U(e)
-    empty.  Each letter lengthens the suffix (s_i w > w), so by the subword
-    property [e, s_i w] = [e, w] ∪ s_i[e, w], and as R+((s_i v)^{-1}) is
+    U(w) is read from the element table, which builds it as a mask over
+    R+ once per element from a predecessor, from U(e) empty.  Each letter
+    lengthens the suffix (s_i w > w), so by the subword property
+    [e, s_i w] = [e, w] ∪ s_i[e, w], and as R+((s_i v)^{-1}) is
     {alpha_i} ∪ s_i R+(v^{-1}) or s_i(R+(v^{-1}) minus {alpha_i}):
     U(s_i w) = U(w) ∪ s_i(U(w) minus {alpha_i}) ∪ {alpha_i}.
     """
-    weyl._require_reduced(rs, word)
-    roots, U = rs.simple_roots, set()
-    for i in reversed(word):
-        U |= {weyl._reflect(beta, i, roots) for beta in U if beta != roots[i]}
-        U.add(roots[i])
-    return {beta for beta in rs.positive_roots if beta.weight not in U}
+    word, table = tuple(word), _walk_table(rs)
+    s, _ = table.walk(rs, word)
+    if s < 0:
+        weyl._require_reduced(rs, word)
+        raise TypeError(f"letters of {word!r} must be ints")
+    U = table.U[s]
+    return {beta for k, beta in enumerate(rs.positive_roots) if not U >> k & 1}
 
 
 @dataclass
@@ -405,7 +491,7 @@ def kernel_char(b: BsdhWord, completion: Sequence[int]) -> KernelReport:
     if completion[: len(b.word)] != b.word:
         raise ValueError("completion does not extend the word")
     full = BsdhWord(rs, completion)   # validates reducedness
-    if full.element != weyl.longest_element(rs):
+    if not full._is_w0:
         raise ValueError("completion does not multiply to the longest element")
 
     n = rs.rank

@@ -91,9 +91,12 @@ def _validate_prefix_first(system, word):
 
 
 def _raised(fn, *args):
-    with pytest.raises(Exception) as err:
+    """(type, message) of the exception fn raises, or None if it returns."""
+    try:
         fn(*args)
-    return type(err.value), str(err.value)
+    except Exception as err:
+        return type(err), str(err)
+    return None
 
 
 def test_bsdh_word_errors_match_prefix_first_validation(rs):
@@ -116,11 +119,121 @@ def test_bsdh_word_errors_match_prefix_first_validation(rs):
             want = _raised(_validate_prefix_first, system, word)
             assert _raised(BsdhWord, system, word) == want, word
             kinds.add(want[0])
-        # letters that are no index at all
-        for word in ((0, 0, None), (None, 0, 0), (0, 1.5), (1, 0, 1, 0, "x")):
-            assert _raised(BsdhWord, system, word) \
-                == _raised(_validate_prefix_first, system, word)
+        # letters that are no index at all; a float equal to an int must
+        # not find that int's transition, and a bool indexes as 0 or 1
+        for word in ((0, 0, None), (None, 0, 0), (0, 1.5), (1, 0, 1, 0, "x"),
+                     (0, 1.0), (1.0,), (True, 0)):
+            want = _raised(_validate_prefix_first, system, word)
+            if want is None:
+                b, ref = BsdhWord(system, word), BsdhWord(system, (1, 0))
+                assert (b.word, b.element, b.J, b.supp) \
+                    == (word, ref.element, ref.J, ref.supp)
+            else:
+                assert _raised(BsdhWord, system, word) == want, word
     assert kinds == {ValueError, IndexError}
+
+
+class _IntLike:
+    """Indexes and compares like an int without being one, as numpy's
+    integers do."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __index__(self):
+        return self.v
+
+    def __ge__(self, other):
+        return self.v >= other
+
+    def __lt__(self, other):
+        return self.v < other
+
+
+def test_index_like_letters_are_refused(rs):
+    a3 = rs("A3")
+    word = (_IntLike(0), _IntLike(1))
+    assert weyl.unreduced_prefix(a3, word) is None
+    for fn in (BsdhWord, root_subset_R_w):
+        with pytest.raises(TypeError, match="must be ints"):
+            fn(a3, word)
+
+
+def _walk_by_definition(system, word):
+    """element, J, supp and d of a word with no table: the product by
+    weyl.from_word, J by its suffix recurrence on sets."""
+    J = set()
+    for i in reversed(word):
+        J = {i} | {j for j in J if system.cartan[i][j] == 0}
+    return (weyl.from_word(system, word), tuple(sorted(J)),
+            tuple(sorted(set(word))), len(set(word)))
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "D4"])
+def test_walk_table_matches_a_table_free_walk(name):
+    system = RootSystem.of(name)     # fresh: the table starts empty
+    w0 = weyl.longest_element(system)
+    if name == "D4":
+        words = list(weyl.reduced_words(system, w0))
+    else:
+        words = [word for w in weyl.all_elements(system)
+                 for word in weyl.reduced_words(system, w)]
+    for word in words:
+        b = BsdhWord(system, word)
+        want = _walk_by_definition(system, word)
+        assert (b.element, b.J, b.supp, b.d) == want, word
+        assert b._criterion == weyl.alpha0_criterion(system, want[0])
+        assert b._is_w0 == (want[0] == w0)
+    # every element is a suffix of some w_0 word, and the words walk only
+    # ascents: |W| elements and |W| rank / 2 transitions
+    table, order = system._caches["walk"], weyl.weyl_order(system)
+    assert len(table.ids) == len(table.facts) == len(table.U) == order
+    assert len(table.step) == order * system.rank // 2
+
+
+def test_walk_table_interning_under_threads():
+    import sys
+    import threading
+    d4 = RootSystem.of("D4")
+    words = list(weyl.reduced_words(d4, weyl.longest_element(d4)))
+    got = [None, None]
+    start = threading.Barrier(2)
+
+    def work(k):
+        start.wait()
+        got[k] = {w: BsdhWord(d4, w).element for w in words[::1 - 2 * k]}
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    table = d4._caches["walk"]
+    assert len(table.ids) == len(table.facts) == len(table.U) == 192
+    assert all(table.ids[f[0].x] == t for t, f in enumerate(table.facts))
+    assert all(got[0][w] is got[1][w] for w in words)
+    assert all(got[0][w] == weyl.from_word(d4, w) for w in words)
+
+
+def test_walk_table_is_built_by_the_first_word_only():
+    from bsdh.autgroup import classify_all_w0, verify
+    for name in ("A1", "A8", "B2", "B8", "C3", "C8", "D4", "D8",
+                 "E6", "E7", "E8", "F4", "G2"):
+        assert RootSystem.of(name)._caches == {}, name
+    # the work of fuzz-ops, w0-classes and the CLI's word streaming
+    d4, b2 = RootSystem.of("D4"), RootSystem.of("B2")
+    list(weyl.reduced_words(d4, weyl.longest_element(d4)))
+    classify_all_w0(d4)
+    verify("operators", b2, cases=3)
+    assert "walk" not in d4._caches and "walk" not in b2._caches
+    BsdhWord(d4, ())
+    assert "walk" in d4._caches
 
 
 def _horner_suffix_sums(system, word):
