@@ -158,26 +158,25 @@ def classify_all_w0(rs: RootSystem,
     how many reduced words of v have each J; only two levels are held.
     At w_0 that state is the table, and its sum is the word count.
 
-    Each v is keyed by the vector z = -v(rho), so no Weyl-element product
-    is taken: the left ascents i of v are the i with z[i] < 0, s_i v has
-    vector s_i(z), and the sweep runs from -rho down to rho.  A level's
-    sum counts the reduced suffixes of that length, which never falls, so
-    unless ``cap`` is None the sweep stops with WordCapExceeded at the
-    first level whose sum passes ``cap``.
+    Each v is keyed by the vector z = -v(rho) of v w_0, so the sweep is
+    weyl._levels from -rho down to rho, with no Weyl-element product: the
+    left ascents i of v are the left descents of v w_0, and s_i v has
+    vector s_i(z).  A level's sum counts the reduced suffixes of that
+    length, which never falls, so unless ``cap`` is None the sweep stops
+    with WordCapExceeded at the first level whose sum passes ``cap``.
     """
     orth = _orth_masks(rs)
+
+    def edge(target, i, by_J):
+        bit, keep = 1 << i, orth[i]
+        target = {} if target is None else target
+        for J, c in by_J.items():
+            J_next = bit | J & keep
+            target[J_next] = target.get(J_next, 0) + c
+        return target
+
     # z -> {J mask: reduced words of v with that J}; v = e first
-    level = {tuple(-c for c in rs.rho): {0: 1}}
-    while rs.rho not in level:
-        grown: dict = {}
-        for z, by_J in level.items():
-            for i, z_next in weyl._descents(rs, z):
-                bit, keep = 1 << i, orth[i]
-                target = grown.setdefault(z_next, {})
-                for J, c in by_J.items():
-                    J_next = bit | J & keep
-                    target[J_next] = target.get(J_next, 0) + c
-        level = grown
+    for level in weyl._levels(rs, tuple(-c for c in rs.rho), {0: 1}, edge):
         if cap is not None and sum(
                 c for by_J in level.values() for c in by_J.values()) > cap:
             raise weyl.WordCapExceeded(cap)

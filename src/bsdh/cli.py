@@ -15,9 +15,10 @@ Conventions: simple-root indices are 1-based on the command line (words
 look like ``--word 1,2,1,3,2,1``); all output is deterministic (sorted
 keys, fixed orderings, no timestamps unless ``--timing``), so identical
 invocations produce byte-identical bytes.  Exit codes: 0 success, 1
-verification failures, 2 input errors (a non-reduced word reports its
-shortest failing prefix) and runs that exhaust memory (the message gives
-the command line to rerun).
+verification failures (verify names the version and the command line on
+stderr), 2 input errors (a non-reduced word reports its shortest failing
+prefix) and runs that exhaust memory (the message gives the command line
+to rerun).
 """
 
 from __future__ import annotations
@@ -341,6 +342,7 @@ def cmd_verify(ctx: click.Context, suite: str, type_name: str,
         _fail(str(exc))
     _emit_json(report.to_json(timing=timing), output)
     if not report.ok:
+        click.echo(f"bsdh {__version__}: {_command_line(ctx)}", err=True)
         sys.exit(EXIT_VERIFY_FAILED)
 
 

@@ -17,11 +17,12 @@ and :func:`parse_word`.
 The words of w are i followed by a word of s_i w, over the left descents i
 in ascending order, so a depth-first walk on x emits them in lexicographic
 order with no sorting and memory bounded by the elements it has visited.
-Words are counted by sweeping down the left descents one length at a time,
-holding two levels.  Because word counts explode in high rank (the F4
-longest element already has over two million reduced words), enumeration
-is guarded by a cap that the sweep checks as it goes, so an element far
-past the cap is refused in a few levels; ``cap=None`` lifts it.
+One level sweep, _levels, walks down the left descents one length at a
+time, holding two levels: it counts words, lists W and, in autgroup,
+buckets the words of w_0 by J.  Because word counts explode in high rank
+(the F4 longest element already has over two million reduced words),
+enumeration is guarded by a cap that the sweep checks as it goes, so an
+element far past the cap is refused in a few levels; ``cap=None`` lifts it.
 
 Bruhat order is tested by the lifting property with no interval: strip
 the letters of a reduced word of w from v where they are descents of v.
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
+from math import factorial
 from typing import Iterator, Optional, Sequence
 
 from .roots import RootSystem, Weight
@@ -206,24 +208,41 @@ def _descents(rs: RootSystem, x: tuple) -> list:
             for i, c in enumerate(x) if c < 0]
 
 
+def _levels(rs: RootSystem, x: tuple, seed, edge) -> Iterator[dict]:
+    """Each level {y: state} below the element with vector x, from
+    {x: seed} down the left descents to the level that holds rho.  A state
+    crosses the edge y -> s_i(y) as ``edge(state at s_i(y) or None, i,
+    state at y)``; keys are in the order first reached (level above in
+    order, then ascending i)."""
+    roots, rho = rs.simple_roots, rs.rho
+    level = {x: seed}
+    yield level
+    while rho not in level:
+        grown: dict = {}
+        for y, state in level.items():
+            for i, c in enumerate(y):
+                if c < 0:
+                    z = tuple([a - c * b for a, b in zip(y, roots[i])])
+                    grown[z] = edge(grown.get(z), i, state)
+        level = grown
+        yield level
+
+
 def _count(rs: RootSystem, x: tuple, cap: Optional[int] = None) -> int:
-    """Reduced words of the element with vector x, by a sweep down its left
-    descents one length at a time.  A level maps each vector y to the
-    number of descent paths from x to y; the last level is {rho: count}.
+    """Reduced words of the element with vector x, by the level sweep with
+    an int per vector y: the number of descent paths from x to y.  The
+    level that holds rho is {rho: count}.
 
     Every path crosses each level once and only e has no descent, so a
     level's sum never falls and bounds the count from below.  With ``cap``
     set the sweep stops at the first level whose sum passes it, so the
     result exceeds ``cap`` exactly when the count does.
     """
-    level = {x: 1}
-    while rs.rho not in level and (cap is None or sum(level.values()) <= cap):
-        grown: dict = {}
-        for y, c in level.items():
-            for _, z in _descents(rs, y):
-                grown[z] = grown.get(z, 0) + c
-        level = grown
-    return sum(level.values())
+    for level in _levels(rs, x, 1, lambda acc, i, c: c + (acc or 0)):
+        total = sum(level.values())
+        if cap is not None and total > cap:
+            break
+    return total
 
 
 def count_words(rs: RootSystem, w: WeylElement,
@@ -339,21 +358,14 @@ def alpha0_criterion(rs: RootSystem, w: WeylElement) -> bool:
 # -- whole-group enumeration (small ranks) -----------------------------
 
 _ORDER = {
-    "A": lambda n: _factorial(n + 1),
-    "B": lambda n: 2 ** n * _factorial(n),
-    "C": lambda n: 2 ** n * _factorial(n),
-    "D": lambda n: 2 ** (n - 1) * _factorial(n),
+    "A": lambda n: factorial(n + 1),
+    "B": lambda n: 2 ** n * factorial(n),
+    "C": lambda n: 2 ** n * factorial(n),
+    "D": lambda n: 2 ** (n - 1) * factorial(n),
     "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
     "F": lambda n: 1152,
     "G": lambda n: 12,
 }
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def weyl_order(rs: RootSystem) -> int:
@@ -361,32 +373,18 @@ def weyl_order(rs: RootSystem) -> int:
 
 
 def all_elements(rs: RootSystem) -> list:
-    """Every element of W, sorted by (length, action matrix) for
-    determinism.
+    """Every element of W, by length and then by the reversed canonical
+    word, i.e. the lexicographically least reduced word of w^{-1}.
 
-    Breadth-first closure of the vectors w(rho) under the simple
-    reflections, so each level holds the elements of one length; only
+    The level sweep from w_0 down to e reaches u w_0 (vector -u(rho)) at
+    the level of length l(u), so its vectors negated list W; only
     sensible at small rank (the list has weyl_order(rs) entries).
     """
     got = rs._caches.get("elements")
     if got is not None:
         return got
-    roots, n = rs.simple_roots, rs.rank
-    basis = [tuple(int(j == k) for k in range(n)) for j in range(n)]
-    seen = {rs.rho}
-    level = [rs.rho]
-    ordered = []
-    while level:
-        ordered += sorted((_element(rs, y) for y in level),
-                          key=lambda w: tuple(zip(*map(w.apply, basis))))
-        grown = []
-        for y in level:
-            for i in range(n):
-                z = _reflect(y, i, roots)
-                if z not in seen:
-                    seen.add(z)
-                    grown.append(z)
-        level = grown
+    levels = _levels(rs, tuple(-c for c in rs.rho), None, lambda *_: None)
+    ordered = [_element(rs, (-c for c in y)) for level in levels for y in level]
     if len(ordered) != weyl_order(rs):
         raise AssertionError("group closure does not match the classical order")
     rs._caches["elements"] = ordered

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import factorial
 from operator import mul
 from typing import Sequence
 
@@ -223,6 +224,30 @@ def count_reduced_words(rs: RootSystem, w: weyl.WeylElement) -> int:
         return sum(rec(matmul(m, refl[i])) for i in descents)
 
     return rec(matrix_of(rs, w))
+
+
+def standard_tableaux(shape: Sequence[int]) -> int:
+    """Standard Young tableaux of a partition (rows, weakly decreasing),
+    by the hook-length formula: |shape|! over the product of the hooks."""
+    hooks = 1
+    for r, row in enumerate(shape):
+        for c in range(row):
+            below = sum(1 for other in shape[r + 1:] if other > c)
+            hooks *= row - c + below
+    return factorial(sum(shape)) // hooks
+
+
+def w0_word_count_by_tableaux(rs: RootSystem) -> int:
+    """Reduced words of w_0 as standard tableaux (Stanley 1984, On the
+    number of reduced decompositions of elements of Coxeter groups; Haiman
+    1992 for B/C): the staircase (n, ..., 1) for A_n, the n x n square for
+    B_n and C_n."""
+    n, family = rs.rank, rs.cartan_type.family
+    if family == "A":
+        return standard_tableaux(range(n, 0, -1))
+    if family in "BC":
+        return standard_tableaux([n] * n)
+    raise ValueError(f"no tableau count for {rs.cartan_type}")
 
 
 def reduced_words_by_filter(rs: RootSystem, w: weyl.WeylElement) -> list:

@@ -357,7 +357,7 @@ def test_verify_clean_suite_exits_zero(run):
 def test_verify_failing_suite_exits_one(run):
     res = run("verify", "--suite", "w0-all-types", "-t", "G2")
     assert res.exit_code == 1
-    js = json.loads(res.output)
+    js = json.loads(res.stdout)
     assert js["failures"] != []
     assert all("check" in f for f in js["failures"])
 
@@ -370,6 +370,24 @@ def test_verify_allow_large_lifts_the_cap(run):
                  "--allow-large")
     assert lifted.exit_code == 0
     assert json.loads(lifted.output)["cases"] == 16
+
+
+def test_verify_failure_names_version_and_command_on_stderr(run):
+    golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json")
+                        .read_text())["texts"]
+    key = "verify --suite w0-all-types -t B2"
+    res = run(*key.split())
+    assert res.exit_code == 1
+    assert res.stdout == golden[key]
+    assert res.stderr.startswith(f"bsdh {bsdh.__version__}: ")
+    assert "verify --suite w0-all-types --type B2" in res.stderr
+    assert res.stderr.count("\n") == 1
+
+
+def test_verify_success_writes_nothing_on_stderr(run):
+    res = run("verify", "--suite", "w0-all-types", "-t", "A2")
+    assert res.exit_code == 0
+    assert res.stderr == ""
 
 
 @pytest.mark.parametrize("args,option", [

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import time
 import weakref
 
 import pytest
@@ -167,6 +168,21 @@ def test_count_sweep_equals_the_oracle_and_saturates_at_the_cap(rs, name):
     assert "count" not in system._caches
 
 
+def test_tableau_oracle_known_values(rs):
+    assert [oracles.w0_word_count_by_tableaux(rs(name))
+            for name in ("A3", "A6", "B4", "B5")] \
+        == [16, 1_100_742_656, 24_024, 701_149_020]
+
+
+@pytest.mark.parametrize("name", [*(f"A{n}" for n in range(1, 8)),
+                                  *(f"B{n}" for n in range(2, 7)),
+                                  *(f"C{n}" for n in range(3, 7))])
+def test_w0_count_equals_the_tableau_count(rs, name):
+    system = rs(name)
+    assert weyl.count_words(system, weyl.longest_element(system)) \
+        == oracles.w0_word_count_by_tableaux(system)
+
+
 def test_word_cap_message_states_a_lower_bound(rs):
     b3 = rs("B3")
     with pytest.raises(weyl.WordCapExceeded) as info:
@@ -250,6 +266,17 @@ def test_all_elements_and_order(rs):
         assert len(set(elements)) == order
 
 
+def test_all_elements_of_e6_within_budget():
+    """A regression guard: sorting each level by action matrices took
+    about 25 s on a 2-CPU box; the level sweep lists E6 in about 0.5 s."""
+    e6 = RootSystem.of("E6")
+    start = time.monotonic()
+    elements = weyl.all_elements(e6)
+    elapsed = time.monotonic() - start
+    assert len(set(elements)) == len(elements) == 51_840
+    assert elapsed < 5.0, f"all_elements(E6) took {elapsed:.1f} s"
+
+
 def test_parse_and_format_word():
     assert weyl.parse_word("1,2,1,3,2,1", 3) == (0, 1, 0, 2, 1, 0)
     assert weyl.parse_word("", 3) == ()
@@ -273,8 +300,10 @@ def test_elements_against_the_matrix_oracle(rs, name):
     elements = {m: weyl.from_word(system, word) for m, word in by_matrix.items()}
     assert len(set(elements.values())) == len(elements) == weyl.weyl_order(system)
 
-    # listed by length (the breadth-first word's), then by matrix
-    ordered = sorted(by_matrix, key=lambda m: (len(by_matrix[m]), m))
+    # listed by length (the breadth-first word's), then by the reversed
+    # canonical word: the least reduced word of the inverse
+    ordered = sorted(by_matrix, key=lambda m: (
+        len(by_matrix[m]), oracles.mat_canonical_word(system, m)[::-1]))
     assert weyl.all_elements(system) == [elements[m] for m in ordered]
     assert weyl.identity(system) == elements[oracles.mat_identity(n)]
     for i, s in enumerate(oracles.reflection_matrices(system)):
