@@ -12,6 +12,8 @@ import bsdh
 from bsdh import cli, weyl
 from bsdh.cli import main
 
+import cli_golden
+
 
 @pytest.fixture()
 def run():
@@ -373,8 +375,7 @@ def test_verify_allow_large_lifts_the_cap(run):
 
 
 def test_verify_failure_names_version_and_command_on_stderr(run):
-    golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json")
-                        .read_text())["texts"]
+    golden = json.loads(cli_golden.DATA.read_text())["texts"]
     key = "verify --suite w0-all-types -t B2"
     res = run(*key.split())
     assert res.exit_code == 1
