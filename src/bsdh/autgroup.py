@@ -148,6 +148,22 @@ class W0Classes:
                 "classes": classes}
 
 
+def _bucket_edge(rs: RootSystem):
+    """The edge of classify_all_w0's sweep: the J-table of v, extended by
+    the left ascent i to s_i v, is added into s_i v's table."""
+    orth = _orth_masks(rs)
+
+    def edge(target, i, by_J):
+        bit, keep = 1 << i, orth[i]
+        target = {} if target is None else target
+        for J, c in by_J.items():
+            J_next = bit | J & keep
+            target[J_next] = target.get(J_next, 0) + c
+        return target
+
+    return edge
+
+
 def classify_all_w0(rs: RootSystem,
                     cap: int | None = weyl.DEFAULT_WORD_CAP) -> W0Classes:
     """Count the reduced words of w_0 in each J-set class, listing none.
@@ -165,16 +181,7 @@ def classify_all_w0(rs: RootSystem,
     length, which never falls, so unless ``cap`` is None the sweep stops
     with WordCapExceeded at the first level whose sum passes ``cap``.
     """
-    orth = _orth_masks(rs)
-
-    def edge(target, i, by_J):
-        bit, keep = 1 << i, orth[i]
-        target = {} if target is None else target
-        for J, c in by_J.items():
-            J_next = bit | J & keep
-            target[J_next] = target.get(J_next, 0) + c
-        return target
-
+    edge = _bucket_edge(rs)
     # z -> {J mask: reduced words of v with that J}; v = e first
     for level in weyl._levels(rs, tuple(-c for c in rs.rho), {0: 1}, edge):
         if cap is not None and sum(

@@ -51,7 +51,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from .roots import PACK_BITS, RootSystem, pack_weight, unpack_weight
+from .roots import (PACK_BIAS, PACK_MASK, RootSystem, pack_weight,
+                    unpack_weight)
 from . import weyl
 
 __all__ = [
@@ -65,8 +66,6 @@ __all__ = [
 ]
 
 COORD_BOUND = 1 << 24    # constructor coordinates lie strictly inside +-this
-_MASK = (1 << PACK_BITS) - 1
-_BIAS = 1 << (PACK_BITS - 1)
 
 
 def _pack(w) -> int:
@@ -185,7 +184,7 @@ def demazure_step(rs: RootSystem, i: int, chi: Character) -> Character:
     out: Dict[int, int] = {}
     get = out.get
     for lam, c in chi._d.items():
-        n = (lam >> shift & _MASK) - _BIAS
+        n = (lam >> shift & PACK_MASK) - PACK_BIAS
         if n >= 0:
             w = lam
             for _ in range(n + 1):

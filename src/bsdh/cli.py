@@ -98,11 +98,13 @@ type_option = click.option("--type", "-t", "type_name", required=True,
 
 
 def _command_line(ctx: click.Context) -> str:
-    """The invocation, rebuilt from its parsed options."""
+    """The invocation, rebuilt from the options it was given: an option
+    left at its default is left out, so the line reruns as it was run."""
     args = []
     for param in ctx.command.params:
         value = ctx.params.get(param.name)
-        if value is None:
+        if (value is None
+                or ctx.get_parameter_source(param.name) == ParameterSource.DEFAULT):
             continue
         if getattr(param, "is_flag", False):
             args += (param.opts if value else param.secondary_opts)[:1]

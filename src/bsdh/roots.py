@@ -32,7 +32,7 @@ import re
 import struct
 import warnings
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -113,6 +113,9 @@ class CartanType:
 
 PACK_BITS = 32        # fixed by the struct format ">i" below
 PACK_MAX_RANK = 64
+# x_k of a packed key: (key >> shift & PACK_MASK) - PACK_BIAS
+PACK_MASK = (1 << PACK_BITS) - 1
+PACK_BIAS = 1 << (PACK_BITS - 1)
 _PACKERS = tuple(struct.Struct(f">x{r}i") for r in range(PACK_MAX_RANK + 1))
 # the leading 1, and the top bit of each field
 _FLIPS = tuple(int.from_bytes(b"\x01" + b"\x80\0\0\0" * r, "big")
@@ -328,47 +331,38 @@ def _cartan_matrix(t: CartanType):
 def build_root_system(t: CartanType) -> RootSystem:
     """Construct the root system for a (validated) Cartan type.
 
-    Positive roots come from the closure algorithm: starting from the
-    simple roots, repeatedly add alpha_i to a known root beta whenever the
-    alpha_i-string through beta continues upward, i.e. whenever
-    <beta, alpha_i^vee> < p where p counts how far the string already
-    descends below beta.  Terminates at the full positive system.
+    Positive roots come from the closure algorithm, one height at a time:
+    starting from the simple roots, add alpha_i to a known root beta
+    whenever the alpha_i-string through beta continues upward.  Each root
+    carries its weight through the closure, so c = <beta, alpha_i^vee> is
+    coordinate i of that weight and beta + alpha_i has weight plus column
+    i of the Cartan matrix.  The string through beta runs from
+    beta - p alpha_i to beta + q alpha_i with p - q = c, unbroken, so it
+    continues upward iff p > c, i.e. iff beta - (c + 1) alpha_i is a known
+    root (c < 0 always qualifies).  Every root below beta's height is
+    known by then.  Terminates at the full positive system.
     """
     n = t.rank
     cartan, norms = _cartan_matrix(t)
+    columns = [tuple(row[i] for row in cartan) for i in range(n)]
 
-    def pair_with_coroot(rc, i):
-        # <beta, alpha_i^vee> for beta given in root coordinates
-        return sum(cartan[i][j] * rc[j] for j in range(n))
-
-    known = {tuple(int(i == j) for j in range(n)) for i in range(n)}
-    frontier = list(known)
+    # root coords -> weight, the simple roots first
+    known = {tuple(int(i == j) for j in range(n)): columns[i] for i in range(n)}
+    frontier = list(known.items())
     while frontier:
         new = []
-        for rc in frontier:
-            for i in range(n):
-                down = list(rc)
-                p = 0
-                while True:
-                    down[i] -= 1
-                    if tuple(down) in known:
-                        p += 1
-                    else:
-                        break
-                if pair_with_coroot(rc, i) < p:
-                    up = list(rc)
-                    up[i] += 1
-                    up = tuple(up)
-                    if up not in known:
-                        known.add(up)
-                        new.append(up)
+        for rc, wt in frontier:
+            for i, c in enumerate(wt):
+                if c >= 0 and rc[:i] + (rc[i] - c - 1,) + rc[i + 1:] not in known:
+                    continue
+                up = rc[:i] + (rc[i] + 1,) + rc[i + 1:]
+                if up not in known:
+                    known[up] = up_wt = tuple(map(add, wt, columns[i]))
+                    new.append((up, up_wt))
         frontier = new
 
-    def to_weight(rc):
-        return Weight(sum(cartan[i][j] * rc[j] for j in range(n)) for i in range(n))
-
     ordered = sorted(known, key=lambda rc: (sum(rc), rc))
-    roots = [Root(to_weight(rc), rc, sum(rc)) for rc in ordered]
+    roots = [Root(Weight(known[rc]), rc, sum(rc)) for rc in ordered]
 
     expected = _POSITIVE_ROOT_COUNTS[t.family](n)
     if len(roots) != expected:

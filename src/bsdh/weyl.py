@@ -19,10 +19,14 @@ in ascending order, so a depth-first walk on x emits them in lexicographic
 order with no sorting and memory bounded by the elements it has visited.
 One level sweep, _levels, walks down the left descents one length at a
 time, holding two levels: it counts words, lists W and, in autgroup,
-buckets the words of w_0 by J.  Because word counts explode in high rank
-(the F4 longest element already has over two million reduced words),
-enumeration is guarded by a cap that the sweep checks as it goes, so an
-element far past the cap is refused in a few levels; ``cap=None`` lifts it.
+buckets the words of w_0 by J.  It keys each vector by its packed int
+(``roots.pack_weight``), so a descent test is a field read and a
+reflection one int subtraction; the coordinates of w(rho) are coroot
+heights, at most 29 up to E8, far inside a 32-bit field.  Because word
+counts explode in high rank (the F4 longest element already has over two
+million reduced words), enumeration is guarded by a cap that the sweep
+checks as it goes, so an element far past the cap is refused in a few
+levels; ``cap=None`` lifts it.
 
 Bruhat order is tested by the lifting property with no interval: strip
 the letters of a reduced word of w from v where they are descents of v.
@@ -35,7 +39,8 @@ from itertools import islice
 from math import factorial
 from typing import Iterator, Optional, Sequence
 
-from .roots import RootSystem, Weight
+from .roots import (PACK_BIAS, PACK_BITS, PACK_MASK, RootSystem, Weight,
+                    unpack_weight)
 
 __all__ = [
     "WeylElement",
@@ -208,22 +213,41 @@ def _descents(rs: RootSystem, x: tuple) -> list:
             for i, c in enumerate(x) if c < 0]
 
 
+def _pack(rs: RootSystem, x) -> int:
+    """pack_weight(x), with the fields at the shifts of rs.packed_alphas,
+    so that the sweep also runs above PACK_MAX_RANK, where pack_weight
+    refuses."""
+    key = 1 << PACK_BITS * rs.rank
+    for c, (shift, _) in zip(x, rs.packed_alphas):
+        key += (c + PACK_BIAS) << shift
+    return key
+
+
 def _levels(rs: RootSystem, x: tuple, seed, edge) -> Iterator[dict]:
-    """Each level {y: state} below the element with vector x, from
-    {x: seed} down the left descents to the level that holds rho.  A state
-    crosses the edge y -> s_i(y) as ``edge(state at s_i(y) or None, i,
-    state at y)``; keys are in the order first reached (level above in
-    order, then ascending i)."""
-    roots, rho = rs.simple_roots, rs.rho
-    level = {x: seed}
+    """Each level {pack_weight(y): state} below the element with vector x
+    (a tuple), from {pack_weight(x): seed} down the left descents to the
+    level that holds rho.  A state crosses the edge y -> s_i(y) as
+    ``edge(state at s_i(y) or None, i, state at y)``; keys are in the
+    order first reached (level above in order, then ascending i).
+
+    On packed keys y[i] is one field read, and s_i(y) = y - y[i] alpha_i
+    is one int subtraction of alpha_i's packed delta.  No field overflows:
+    for y = w(rho), y[i] = <rho, (w^{-1} alpha_i)^vee> is plus or minus a
+    coroot height, at most 29 up to E8.
+    """
+    steps = tuple(enumerate(rs.packed_alphas))
+    rho = _pack(rs, rs.rho)
+    level = {_pack(rs, x): seed}
     yield level
     while rho not in level:
         grown: dict = {}
+        get = grown.get
         for y, state in level.items():
-            for i, c in enumerate(y):
+            for i, (shift, delta) in steps:
+                c = (y >> shift & PACK_MASK) - PACK_BIAS
                 if c < 0:
-                    z = tuple([a - c * b for a, b in zip(y, roots[i])])
-                    grown[z] = edge(grown.get(z), i, state)
+                    z = y - c * delta
+                    grown[z] = edge(get(z), i, state)
         level = grown
         yield level
 
@@ -231,7 +255,7 @@ def _levels(rs: RootSystem, x: tuple, seed, edge) -> Iterator[dict]:
 def _count(rs: RootSystem, x: tuple, cap: Optional[int] = None) -> int:
     """Reduced words of the element with vector x, by the level sweep with
     an int per vector y: the number of descent paths from x to y.  The
-    level that holds rho is {rho: count}.
+    level that holds rho is {packed rho: count}.
 
     Every path crosses each level once and only e has no descent, so a
     level's sum never falls and bounds the count from below.  With ``cap``
@@ -384,7 +408,8 @@ def all_elements(rs: RootSystem) -> list:
     if got is not None:
         return got
     levels = _levels(rs, tuple(-c for c in rs.rho), None, lambda *_: None)
-    ordered = [_element(rs, (-c for c in y)) for level in levels for y in level]
+    ordered = [_element(rs, (-c for c in unpack_weight(y)))
+               for level in levels for y in level]
     if len(ordered) != weyl_order(rs):
         raise AssertionError("group closure does not match the classical order")
     rs._caches["elements"] = ordered

@@ -42,6 +42,15 @@ ERRORS = (
     ("classify-w0", "-t", "B3", "--cap", "5"),
 )
 
+# larger systems, run once each: the root closure of the exceptional
+# types and the word sweep past the default cap
+LARGE = (
+    ("roots", "-t", "E8"),
+    ("roots", "-t", "F4"),
+    ("classify-w0", "-t", "E6", "--allow-large"),
+    ("words", "-t", "E6", "--limit", "3", "--allow-large"),
+)
+
 
 def commands() -> list:
     """Every command of the transcript, as argument tuples, in a fixed
@@ -78,7 +87,7 @@ def commands() -> list:
         if rs.rank <= 3:
             out.append(("verify", "--suite", "euler", "-t", t,
                         "--weights", "2"))
-    return list(dict.fromkeys(out + list(ERRORS)))
+    return list(dict.fromkeys(out + list(ERRORS) + list(LARGE)))
 
 
 def run(args: tuple) -> tuple:

@@ -226,6 +226,24 @@ def count_reduced_words(rs: RootSystem, w: weyl.WeylElement) -> int:
     return rec(matrix_of(rs, w))
 
 
+def levels_by_tuples(rs: RootSystem, x: tuple, seed, edge):
+    """weyl._levels on plain tuple vectors: each level {y: state}, with
+    the descent test a coordinate read and s_i(y) a tuple comprehension,
+    where the library packs each y into one int."""
+    roots, rho = rs.simple_roots, rs.rho
+    level = {x: seed}
+    yield level
+    while rho not in level:
+        grown: dict = {}
+        for y, state in level.items():
+            for i, c in enumerate(y):
+                if c < 0:
+                    z = tuple([a - c * b for a, b in zip(y, roots[i])])
+                    grown[z] = edge(grown.get(z), i, state)
+        level = grown
+        yield level
+
+
 def standard_tableaux(shape: Sequence[int]) -> int:
     """Standard Young tableaux of a partition (rows, weakly decreasing),
     by the hook-length formula: |shape|! over the product of the hooks."""

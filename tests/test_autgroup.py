@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -132,6 +133,19 @@ def test_classify_all_w0_cap(rs):
         classify_all_w0(a3, cap=4)
     classes = classify_all_w0(a3, cap=None)
     assert sum(classes.buckets.values()) == 16
+
+
+def test_classify_all_w0_e6_within_budget():
+    """The sweep over the 51,840 elements of W(E6) takes about 0.2 s on a
+    2-CPU box; the total is the w_0 word count of E6."""
+    e6 = RootSystem.of("E6")
+    start = time.monotonic()
+    classes = classify_all_w0(e6, cap=None)
+    elapsed = time.monotonic() - start
+    assert classes.total_words == sum(classes.buckets.values()) \
+        == 1_266_633_313_578_528
+    assert len(classes.buckets) == 21
+    assert elapsed < 3.0, f"classify_all_w0(E6) took {elapsed:.1f} s"
 
 
 def test_classify_all_w0_with_no_cap_never_counts(rs, monkeypatch):

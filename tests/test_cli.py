@@ -1,6 +1,7 @@
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -179,7 +180,7 @@ def test_classify_w0_out_of_memory_exits_two():
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "out of memory" in proc.stderr
-    assert "classify-w0 --type E8 --cap 1000000 --allow-large" in proc.stderr
+    assert "classify-w0 --type E8 --allow-large" in proc.stderr
 
 
 def test_out_of_memory_message_gives_the_command_line(run, monkeypatch):
@@ -193,8 +194,7 @@ def test_out_of_memory_message_gives_the_command_line(run, monkeypatch):
     assert res.stdout == ""
     assert res.stderr == (
         f"error: out of memory (bsdh {bsdh.__version__}): main verify "
-        "--suite kernel --type A3 --cases 1000 --weights 50 --seed 5 "
-        "--all-words --cap 1000000\n")
+        "--suite kernel --type A3 --seed 5 --all-words\n")
 
 
 def test_words_explicit_element(run):
@@ -383,6 +383,18 @@ def test_verify_failure_names_version_and_command_on_stderr(run):
     assert res.stderr.startswith(f"bsdh {bsdh.__version__}: ")
     assert "verify --suite w0-all-types --type B2" in res.stderr
     assert res.stderr.count("\n") == 1
+
+
+def test_verify_failure_command_line_reruns(run):
+    res = run("verify", "--suite", "w0-all-types", "-t", "B2")
+    assert res.exit_code == 1
+    line = res.stderr.split(": ", 1)[1]
+    prog, *args = shlex.split(line)
+    assert prog == "main"
+    again = run(*args)
+    assert again.exit_code == 1, again.stderr
+    assert again.stdout == res.stdout
+    assert again.stderr == res.stderr
 
 
 def test_verify_success_writes_nothing_on_stderr(run):

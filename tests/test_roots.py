@@ -6,7 +6,7 @@ import pytest
 from bsdh.roots import (PACK_MAX_RANK, CartanType, RootSystem, Weight,
                         build_root_system, dominance_leq, dot_action,
                         pack_weight, pairing, reflect, unpack_weight)
-from bsdh import weyl
+from bsdh import roots, weyl
 
 from oracles import root_coords_rational
 
@@ -55,6 +55,25 @@ def test_simply_laced_flag():
 @pytest.mark.parametrize("name,count", sorted(CLASSICAL_COUNTS.items()))
 def test_positive_root_counts(name, count):
     assert len(RootSystem.of(name).positive_roots) == count
+
+
+@pytest.mark.parametrize("name", [*(f"A{n}" for n in range(1, 9)),
+                                  *(f"B{n}" for n in range(2, 9)),
+                                  *(f"C{n}" for n in range(3, 9)),
+                                  *(f"D{n}" for n in range(4, 9)),
+                                  "E6", "E7", "E8", "F4", "G2"])
+def test_root_weights_are_the_cartan_matrix_on_root_coords(name):
+    # the closure carries each weight; this is the product it replaces
+    system = RootSystem.of(name)
+    n, cartan = system.rank, system.cartan
+    for beta in system.positive_roots:
+        rc = beta.root_coords
+        assert type(beta.weight) is Weight
+        assert beta.weight == tuple(sum(cartan[i][j] * rc[j] for j in range(n))
+                                    for i in range(n))
+    t = system.cartan_type
+    assert len(system.positive_roots) \
+        == roots._POSITIVE_ROOT_COUNTS[t.family](t.rank)
 
 
 def test_a2_cartan_matrix(rs):

@@ -5,8 +5,9 @@ import weakref
 
 import pytest
 
-from bsdh.roots import RootSystem, Weight
-from bsdh import weyl
+from bsdh.roots import (PACK_MAX_RANK, RootSystem, Weight, pack_weight,
+                        unpack_weight)
+from bsdh import autgroup, weyl
 
 import oracles
 from oracles import (bruhat_leq_subword, count_reduced_words,
@@ -166,6 +167,35 @@ def test_count_sweep_equals_the_oracle_and_saturates_at_the_cap(rs, name):
         for cap in {0, 1, c - 1, c}:
             assert (weyl._count(system, w.x, cap) > cap) == (c > cap), (w, cap)
     assert "count" not in system._caches
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "D4", "B4", "F4"])
+def test_packed_sweep_equals_the_tuple_sweep(rs, name):
+    # the word-count edge of _count and the J-table edge of classify_all_w0,
+    # from w_0 down to e: every level, keys in order
+    system = rs(name)
+    top = tuple(-c for c in system.rho)
+    for seed, edge in ((1, lambda acc, i, c: c + (acc or 0)),
+                       ({0: 1}, autgroup._bucket_edge(system))):
+        packed = list(weyl._levels(system, top, seed, edge))
+        tuples = list(oracles.levels_by_tuples(system, top, seed, edge))
+        assert len(packed) == len(tuples) == len(system.positive_roots) + 1
+        for got, want in zip(packed, tuples):
+            assert [(unpack_weight(y), state) for y, state in got.items()] \
+                == list(want.items())
+
+
+def test_sweep_packs_as_pack_weight_and_runs_above_the_pack_rank(rs):
+    for name in ("A3", "G2", "E8"):
+        system = rs(name)
+        for v in (system.rho, tuple(-c for c in system.rho),
+                  system.highest_root.weight):
+            assert weyl._pack(system, v) == pack_weight(v)
+    # pack_weight refuses rank 65 and above; the sweep still runs there
+    a70 = rs("A70")
+    assert a70.rank > PACK_MAX_RANK
+    assert weyl.count_words(a70, weyl.longest_element(a70), cap=1000) > 1000
+    assert weyl.count_words(a70, weyl.from_word(a70, (0, 2))) == 2
 
 
 def test_tableau_oracle_known_values(rs):
