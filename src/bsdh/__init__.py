@@ -17,10 +17,10 @@ suites that check the underlying theorems exhaustively at small rank.
 from .roots import (CartanType, Root, RootSystem, Weight, build_root_system,
                     dominance_leq, dot_action, pairing, reflect)
 from .weyl import (WeylElement, WordCapExceeded, all_elements,
-                   alpha0_criterion, bruhat_leq, canonical_word,
-                   completions_to_w0, count_words, format_word, from_word,
-                   inversions, is_reduced, length, longest_element,
-                   parse_word, reduced_words, unreduced_prefix)
+                   alpha0_criterion, bruhat_leq, canonical_word, count_words,
+                   format_word, from_word, inversions, is_reduced, length,
+                   longest_element, parse_word, reduced_words,
+                   unreduced_prefix)
 from .characters import (Character, demazure_character, demazure_step,
                          euler_char, reference_chars)
 from .tangent import (BsdhWord, KernelReport, TangentReport,

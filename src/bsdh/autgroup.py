@@ -22,12 +22,12 @@ nonempty iff the criterion holds); it is wired to the same predicate by
 construction and recorded separately only so reports surface both
 phrasings.
 
-classify_all_w0 counts the reduced words of w_0 in each J-set class in
-one sweep over the group, one length at a time, without listing a single
-word, so F4 (over two million words), E6 (about 1.3e15) and E7 (about
-1.2e30) are in reach; the cost grows with the group order, not the word
-count.  The cap guardrail still bounds the word count unless it is None,
-and refuses as soon as a level of the sweep passes it.
+One sweep, _completion_classes, counts the completions of a word of u
+to a word of w_0 in each J-set class without listing one, for classify's
+check; classify_all_w0 is the case u = e, so F4 (over two million
+words), E6 (about 1.3e15) and E7 (about 1.2e30) are in reach: the cost
+grows with the group order, not the word count.  Unless the cap is None,
+the sweep refuses as soon as a level of it passes the cap.
 """
 
 from __future__ import annotations
@@ -89,14 +89,17 @@ class AutReport:
         }
 
 
-def classify(b: BsdhWord, cap: int = weyl.DEFAULT_WORD_CAP) -> AutReport:
+def classify(b: BsdhWord,
+             cap: int | None = weyl.DEFAULT_WORD_CAP) -> AutReport:
     """Classify Aut^0(Z(w, i)) from the word's combinatorics.
 
     In the simply-laced criterion-true case the identity
-    J(w, i) = J(w_0, j) holds for every completion j of i to a word of
-    the longest element; it is cross-checked here whenever the completion
-    count fits under the cap (exhaustive at desk scale and skipped, not
-    subsampled, beyond).
+    J(w, i) = J(w_0, j) holds for every completion j = i.c of i to a word
+    of w_0.  It is checked when there are at most ``cap`` completions (or
+    ``cap`` is None), and skipped, not subsampled, beyond, one J(c) class
+    of _completion_classes at a time: J(i.c) = J(i) ∪ (J(c) ∩ O), with O
+    the simple roots orthogonal to all of supp(w).  As alpha_0 has full
+    support, so has every criterion-true w, and O is empty.
     """
     rs = b.rs
     crit = b._criterion
@@ -108,15 +111,22 @@ def classify(b: BsdhWord, cap: int = weyl.DEFAULT_WORD_CAP) -> AutReport:
         status = STATUS_EXACT
     elif simply and crit:
         status = STATUS_EXACT
-        # completions are the reduced words of u^{-1} w_0
-        if weyl._count(rs, weyl._rest_to_w0(rs, b.word), cap) <= cap:
-            for j_word in weyl.completions_to_w0(rs, b.word, cap=None):
-                checked += 1
-                full = BsdhWord(rs, j_word)
-                if full.J != b.J:
-                    raise AssertionError(
-                        f"completion {weyl.format_word(j_word)} has "
-                        f"J={full.J}, expected {b.J}")
+        # the completions: the words of u^{-1} w_0 = (w_0 u)^{-1}
+        x = weyl.longest_element(rs).apply(b.element.x)
+        try:
+            classes = _completion_classes(rs, x, cap)
+        except weyl.WordCapExceeded:
+            classes = {}
+        O = sum(1 << j for j in range(rs.rank)
+                if all(rs.cartan[k][j] == 0 for k in b.supp))
+        J, fmt = sum(1 << j for j in b.J), weyl.format_word
+        for J_c, count in classes.items():
+            if J | J_c & O != J:
+                raise AssertionError(
+                    f"word {fmt(b.word)} has J = {{{fmt(b.J)}}}, but its "
+                    f"{count} completions c with J(c) = {{{fmt(_bits(J_c))}}} "
+                    f"give J = {{{fmt(_bits(J | J_c & O))}}}")
+        checked = sum(classes.values())
     elif crit:
         status = STATUS_CONTAINS
     else:
@@ -149,8 +159,8 @@ class W0Classes:
 
 
 def _bucket_edge(rs: RootSystem):
-    """The edge of classify_all_w0's sweep: the J-table of v, extended by
-    the left ascent i to s_i v, is added into s_i v's table."""
+    """The edge of _completion_classes' sweep: the J-table of the suffixes
+    read so far, each with the letter i put in front, is added below."""
     orth = _orth_masks(rs)
 
     def edge(target, i, by_J):
@@ -164,31 +174,30 @@ def _bucket_edge(rs: RootSystem):
     return edge
 
 
-def classify_all_w0(rs: RootSystem,
-                    cap: int | None = weyl.DEFAULT_WORD_CAP) -> W0Classes:
-    """Count the reduced words of w_0 in each J-set class, listing none.
+def _completion_classes(rs: RootSystem, x: tuple, cap: int | None) -> dict:
+    """{J mask: count} over the reduced words of y^{-1}, y the element with
+    vector x; for y = w_0 u, these are the completions of a word of u.
 
     J composes over suffixes: J(i.t) = {i} ∪ {j in J(t) orthogonal to i}
-    (see the tangent module).  One sweep extends each suffix element v by
-    its left ascents, one length at a time, from e up to w_0, carrying
-    how many reduced words of v have each J; only two levels are held.
-    At w_0 that state is the table, and its sum is the word count.
-
-    Each v is keyed by the vector z = -v(rho) of v w_0, so the sweep is
-    weyl._levels from -rho down to rho, with no Weyl-element product: the
-    left ascents i of v are the left descents of v w_0, and s_i v has
-    vector s_i(z).  A level's sum counts the reduced suffixes of that
-    length, which never falls, so unless ``cap`` is None the sweep stops
-    with WordCapExceeded at the first level whose sum passes ``cap``.
+    (see the tangent module).  Each path of weyl._levels from y down to e
+    spells a word of y^{-1} from its last letter to its first, so the
+    sweep carries, per element, how many of the suffixes read have each J.
+    A level's sum counts the suffixes of that length and never falls, so
+    unless ``cap`` is None the first level past it raises WordCapExceeded.
     """
-    edge = _bucket_edge(rs)
-    # z -> {J mask: reduced words of v with that J}; v = e first
-    for level in weyl._levels(rs, tuple(-c for c in rs.rho), {0: 1}, edge):
+    for level in weyl._levels(rs, x, {0: 1}, _bucket_edge(rs)):
         if cap is not None and sum(
                 c for by_J in level.values() for c in by_J.values()) > cap:
             raise weyl.WordCapExceeded(cap)
+    (by_J,) = level.values()   # at e, with vector rho
+    return by_J
 
-    (by_J,) = level.values()   # v = w_0, at z = rho
+
+def classify_all_w0(rs: RootSystem,
+                    cap: int | None = weyl.DEFAULT_WORD_CAP) -> W0Classes:
+    """Count the reduced words of w_0 in each J-set class, listing none:
+    _completion_classes from w_0 itself, whose vector is -rho."""
+    by_J = _completion_classes(rs, tuple(-c for c in rs.rho), cap)
     buckets = {_bits(J): c for J, c in by_J.items()}
     return W0Classes(rs=rs, total_words=sum(buckets.values()), buckets=buckets)
 

@@ -17,8 +17,8 @@ keys, fixed orderings, no timestamps unless ``--timing``), so identical
 invocations produce byte-identical bytes.  Exit codes: 0 success, 1
 verification failures (verify names the version and the command line on
 stderr), 2 input errors (a non-reduced word reports its shortest failing
-prefix) and runs that exhaust memory (the message gives the command line
-to rerun).
+prefix; the character commands refuse ranks above 64) and runs that
+exhaust memory (the message gives the command line to rerun).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from click.core import ParameterSource
 
 from . import __version__, autgroup, tangent, weyl
 from .characters import Character
-from .roots import RootSystem
+from .roots import PACK_MAX_RANK, RootSystem
 
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
@@ -50,6 +50,15 @@ def _root_system(type_name: str) -> RootSystem:
         return RootSystem.of(type_name)
     except ValueError as exc:
         _fail(str(exc))
+
+
+def _character_root_system(type_name: str) -> RootSystem:
+    """_root_system, refused past the rank of packed character weights."""
+    rs = _root_system(type_name)
+    if rs.rank > PACK_MAX_RANK:
+        _fail(f"{rs.cartan_type} has rank {rs.rank}; characters are "
+              f"computed only up to rank {PACK_MAX_RANK}")
+    return rs
 
 
 def _parse_word(rs: RootSystem, text: str) -> tuple:
@@ -230,12 +239,13 @@ def cmd_words(type_name: str, word_text: Optional[str], cap: int,
               help="Reduced word, 1-based letters, e.g. 1,2,1,3,2,1.")
 @click.option("--cap", default=weyl.DEFAULT_WORD_CAP, show_default=True,
               type=click.IntRange(min=0),
-              help="Cap for the completion cross-check enumeration.")
+              help="Check the completions to w_0 only if there are at "
+                   "most this many.")
 @output_option
 def cmd_aut(type_name: str, word_text: str, cap: int,
             output: Optional[str]) -> None:
     """Classify the connected automorphism group of Z(w, i)."""
-    rs = _root_system(type_name)
+    rs = _character_root_system(type_name)
     word = _reduced_word(rs, word_text)
     report = autgroup.classify(tangent.BsdhWord(rs, word), cap=cap)
     _emit_json(report.to_json(), output)
@@ -252,7 +262,7 @@ def cmd_aut(type_name: str, word_text: str, cap: int,
 def cmd_tangent_char(type_name: str, word_text: str, euler_only: bool,
                      fmt: str, output: Optional[str]) -> None:
     """Tangent-bundle character report for Z(w, i)."""
-    rs = _root_system(type_name)
+    rs = _character_root_system(type_name)
     word = _reduced_word(rs, word_text)
     b = tangent.BsdhWord(rs, word)
     if euler_only or not rs.cartan_type.simply_laced():
@@ -275,7 +285,7 @@ def cmd_tangent_char(type_name: str, word_text: str, euler_only: bool,
 def cmd_kernel(type_name: str, word_text: str, completion_text: str,
                output: Optional[str]) -> None:
     """Predicted vs observed kernel of restriction (simply-laced)."""
-    rs = _root_system(type_name)
+    rs = _character_root_system(type_name)
     word = _reduced_word(rs, word_text)
     completion = _reduced_word(rs, completion_text)
     try:

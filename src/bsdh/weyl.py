@@ -19,14 +19,14 @@ in ascending order, so a depth-first walk on x emits them in lexicographic
 order with no sorting and memory bounded by the elements it has visited.
 One level sweep, _levels, walks down the left descents one length at a
 time, holding two levels: it counts words, lists W and, in autgroup,
-buckets the words of w_0 by J.  It keys each vector by its packed int
-(``roots.pack_weight``), so a descent test is a field read and a
-reflection one int subtraction; the coordinates of w(rho) are coroot
-heights, at most 29 up to E8, far inside a 32-bit field.  Because word
-counts explode in high rank (the F4 longest element already has over two
-million reduced words), enumeration is guarded by a cap that the sweep
-checks as it goes, so an element far past the cap is refused in a few
-levels; ``cap=None`` lifts it.
+buckets by J the words of w_0 and the completions of a word to one.  It
+keys each vector by its packed int (``roots.pack_weight``), so a descent
+test is a field read and a reflection one int subtraction; the
+coordinates of w(rho) are coroot heights, at most 29 up to E8, far
+inside a 32-bit field.  Because word counts explode in high rank (the F4
+longest element already has over two million reduced words), enumeration
+is guarded by a cap that the sweep checks as it goes, so an element far
+past the cap is refused in a few levels; ``cap=None`` lifts it.
 
 Bruhat order is tested by the lifting property with no interval: strip
 the letters of a reduced word of w from v where they are descents of v.
@@ -56,7 +56,6 @@ __all__ = [
     "reduced_words",
     "count_words",
     "canonical_word",
-    "completions_to_w0",
     "bruhat_leq",
     "alpha0_criterion",
     "all_elements",
@@ -329,25 +328,6 @@ def canonical_word(rs: RootSystem, w: WeylElement) -> tuple:
     smallest-left-descent word of w^{-1}(rho), reversed.
     """
     return tuple(reversed(_left_word(_inverse_vector(w), rs.simple_roots)))
-
-
-def _rest_to_w0(rs: RootSystem, word: Sequence[int]) -> tuple:
-    """The vector of u^{-1} w_0 for the word's element u: -u^{-1}(rho)."""
-    return tuple(-c for c in _apply(rs.simple_roots, tuple(word)[::-1], rs.rho))
-
-
-def completions_to_w0(rs: RootSystem, word: Sequence[int],
-                      cap: Optional[int] = DEFAULT_WORD_CAP) -> Iterator[tuple]:
-    """All reduced words of w_0 whose prefix is the given reduced word.
-
-    These are exactly word + t over reduced words t of u^{-1} w_0 (where u
-    is the word's element), since lengths are always additive against w_0.
-    """
-    _require_reduced(rs, word)
-    rest = _element(rs, _rest_to_w0(rs, word))
-    prefix = tuple(word)
-    for t in reduced_words(rs, rest, cap=cap):
-        yield prefix + t
 
 
 # -- Bruhat order ------------------------------------------------------

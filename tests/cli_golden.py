@@ -51,6 +51,16 @@ LARGE = (
     ("words", "-t", "E6", "--limit", "3", "--allow-large"),
 )
 
+# aut's completion check at its cap: 30 completions of the D4 word, none
+# checked below the cap, and the E6 word past the default cap
+AUT_CAP = (
+    ("aut", "-t", "D4", "-w", "2,4,3,2,1"),
+    ("aut", "-t", "D4", "-w", "2,4,3,2,1", "--cap", "29"),
+    ("aut", "-t", "D4", "-w", "2,4,3,2,1", "--cap", "30"),
+    ("aut", "-t", "A4", "-w", "4,3,2,1", "--cap", "0"),
+    ("aut", "-t", "E6", "-w", "2,4,5,6,3,4,5,2,4,3,1"),
+)
+
 
 def commands() -> list:
     """Every command of the transcript, as argument tuples, in a fixed
@@ -87,7 +97,8 @@ def commands() -> list:
         if rs.rank <= 3:
             out.append(("verify", "--suite", "euler", "-t", t,
                         "--weights", "2"))
-    return list(dict.fromkeys(out + list(ERRORS) + list(LARGE)))
+    return list(dict.fromkeys(out + list(ERRORS) + list(LARGE)
+                              + list(AUT_CAP)))
 
 
 def run(args: tuple) -> tuple:

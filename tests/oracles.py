@@ -9,6 +9,7 @@ instead of operator recursion.  The tests pass only when both paths agree.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -337,20 +338,33 @@ def schubert_tangent_char_by_roots(rs: RootSystem,
     return total
 
 
+def j_set_by_definition(rs: RootSystem, word: Sequence[int]) -> tuple:
+    """J of a word by its definition, in O(l^2) pairings and with no
+    suffix recurrence: the letters at the positions l whose letter pairs
+    to zero with every earlier letter."""
+    return tuple(sorted({b for l, b in enumerate(word)
+                         if all(rs.cartan[a][b] == 0 for a in word[:l])}))
+
+
 def w0_classes_by_enumeration(rs: RootSystem) -> dict:
     """{J: number of reduced words of w_0 with that J}, by listing every
-    word.  J' is computed here with its own loop: position l counts when
-    its letter pairs to zero with every earlier letter."""
-    buckets: dict = {}
+    word."""
     w0 = weyl.longest_element(rs)
-    for word in weyl.reduced_words(rs, w0, cap=None):
-        letters = set()
-        for l, b in enumerate(word):
-            if all(rs.cartan[a][b] == 0 for a in word[:l]):
-                letters.add(b)
-        J = tuple(sorted(letters))
-        buckets[J] = buckets.get(J, 0) + 1
-    return buckets
+    return dict(Counter(j_set_by_definition(rs, word)
+                        for word in weyl.reduced_words(rs, w0, cap=None)))
+
+
+def completion_classes_by_enumeration(rs: RootSystem) -> dict:
+    """{prefix: Counter of J(c)} over every prefix of every reduced word of
+    w_0, the completions c of a prefix being the rests of the w_0 words
+    that start with it, listed and cut, and J(c) taken by its
+    definition."""
+    classes: dict = {}
+    for word in weyl.reduced_words(rs, weyl.longest_element(rs), cap=None):
+        for r in range(len(word) + 1):
+            classes.setdefault(word[:r], Counter())[
+                j_set_by_definition(rs, word[r:])] += 1
+    return classes
 
 
 def independent_sets(rs: RootSystem) -> set:

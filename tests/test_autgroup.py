@@ -4,12 +4,13 @@ import time
 import pytest
 
 from bsdh.roots import RootSystem
-from bsdh.autgroup import (W0Classes, classify, classify_all_w0, verify)
-from bsdh.tangent import BsdhWord
+from bsdh.autgroup import (W0Classes, _completion_classes, classify,
+                           classify_all_w0, verify)
+from bsdh.tangent import BsdhWord, _bits
 from bsdh import weyl
 
-from oracles import (count_reduced_words, independent_sets,
-                     w0_classes_by_enumeration)
+from oracles import (completion_classes_by_enumeration, count_reduced_words,
+                     independent_sets, w0_classes_by_enumeration)
 
 
 # -- classify ---------------------------------------------------------------
@@ -295,3 +296,76 @@ def test_classify_all_w0_e6(rs):
     assert len(classes.buckets) == 21
     assert classes.total_words == 1_266_633_313_578_528
     assert sum(classes.buckets.values()) == classes.total_words
+
+
+# -- the completion check of classify --------------------------------------
+
+@pytest.mark.parametrize("name", ["A3", "A4", "D4", "B3", "G2"])
+def test_completion_classes_equal_the_oracle(rs, name):
+    # from w_0 u, on every prefix u of every w_0 word; in type A, w_0 is
+    # not -1, so starting at u w_0 (vector -u(rho)) would not do
+    system = rs(name)
+    w0 = weyl.longest_element(system)
+    for prefix, want in completion_classes_by_enumeration(system).items():
+        x = w0.apply(weyl.from_word(system, prefix).x)
+        got = _completion_classes(system, x, None)
+        assert {_bits(J): c for J, c in got.items()} == want, prefix
+
+
+@pytest.mark.parametrize("name", ["A3", "A4", "D4"])
+def test_classify_checks_every_completion(rs, name):
+    system = rs(name)
+    hits = 0
+    for prefix, want in completion_classes_by_enumeration(system).items():
+        b = BsdhWord(system, prefix)
+        if not b._criterion or b._is_w0:
+            continue
+        hits += 1
+        n = sum(want.values())
+        assert classify(b, cap=None).completions_checked == n, prefix
+        for cap in (n - 1, n):
+            assert classify(b, cap=cap).completions_checked \
+                == (n if n <= cap else 0), (prefix, cap)
+    assert hits
+
+
+def test_classify_without_cap_checks_e6_completions_within_budget():
+    """The E6 word below has 1,937,618,128 completions; they are checked
+    class by class in about 0.01 s on a 2-CPU box."""
+    e6 = RootSystem.of("E6")
+    b = BsdhWord(e6, weyl.parse_word("2,4,5,6,3,4,5,2,4,3,1", 6))
+    start = time.monotonic()
+    rep = classify(b, cap=None)
+    elapsed = time.monotonic() - start
+    assert rep.completions_checked == 1_937_618_128
+    assert classify(b).completions_checked == 0   # past the default cap
+    assert elapsed < 3.0, f"classify took {elapsed:.1f} s"
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "D4", "B4", "F4"])
+def test_criterion_true_elements_have_full_support(rs, name):
+    # alpha_0 has full support, and w^{-1} permutes the positive roots
+    # outside the span of supp w, so no root orthogonal to all of supp w
+    # is left for the completion check to catch
+    system = rs(name)
+    full = tuple(range(system.rank))
+    hits = 0
+    for w in weyl.all_elements(system):
+        if weyl.alpha0_criterion(system, w):
+            hits += 1
+            word = weyl.canonical_word(system, w)
+            assert BsdhWord(system, word).supp == full, word
+    assert hits
+
+
+def test_classify_completion_check_names_the_failing_class(rs):
+    # with supp(w) emptied, the letters of J(c) are no longer masked; the
+    # one completion of 2,1,3,2,3 in A3 is c = 1, with J(c) = {1}
+    b = BsdhWord(rs("A3"), (1, 0, 2, 1, 2))
+    assert classify(b).completions_checked == 1
+    b.supp = ()
+    with pytest.raises(AssertionError) as info:
+        classify(b)
+    assert str(info.value) == (
+        "word 2,1,3,2,3 has J = {2}, but its 1 completions c with "
+        "J(c) = {1} give J = {1,2}")

@@ -329,6 +329,30 @@ def test_kernel_completion_must_extend(run):
     assert "error:" in res.stderr
 
 
+# -- ranks past the packed weights ------------------------------------------
+
+@pytest.mark.parametrize("rank", [65, 70])
+@pytest.mark.parametrize("args", [("aut", "-w", "1"),
+                                  ("tangent-char", "-w", "1"),
+                                  ("kernel", "-w", "", "-c", "1")])
+def test_character_commands_refuse_ranks_past_the_pack(run, rank, args):
+    res = run(args[0], "-t", f"A{rank}", *args[1:])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == (f"error: A{rank} has rank {rank}; characters are "
+                          "computed only up to rank 64\n")
+
+
+@pytest.mark.parametrize("rank", [65, 70])
+def test_word_commands_run_past_the_pack_rank(run, rank):
+    assert json.loads(run("roots", "-t", f"A{rank}").stdout)["rank"] == rank
+    res = run("words", "-t", f"A{rank}", "-w", "1,3")
+    assert json.loads(res.stdout)["words"] == ["1,3", "3,1"]
+    res = run("classify-w0", "-t", f"A{rank}", "--cap", "1000")
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {weyl.WordCapExceeded(1000)}\n"
+
+
 # -- classify-w0 ------------------------------------------------------------
 
 def test_classify_w0_a3(run):

@@ -155,7 +155,6 @@ def test_no_cap_never_counts(rs, monkeypatch):
 
     monkeypatch.setattr(weyl, "_count", refuse)
     assert list(weyl.reduced_words(a3, w0, cap=None)) == expected
-    assert list(weyl.completions_to_w0(a3, (), cap=None)) == expected
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "G2"])
@@ -221,25 +220,6 @@ def test_word_cap_message_states_a_lower_bound(rs):
         "element has more than 41 reduced words; pass cap=None "
         "(CLI: --allow-large) to enumerate anyway")
     assert info.value.cap == 41
-
-
-def test_completions(rs):
-    a2 = rs("A2")
-    assert list(weyl.completions_to_w0(a2, (0, 1, 0))) == [(0, 1, 0)]
-    assert list(weyl.completions_to_w0(a2, (0,))) == [(0, 1, 0)]
-    assert sorted(weyl.completions_to_w0(a2, ())) == [(0, 1, 0), (1, 0, 1)]
-    with pytest.raises(ValueError):
-        list(weyl.completions_to_w0(a2, (0, 0)))
-
-
-def test_completions_are_prefix_filtered_w0_words(rs):
-    a3 = rs("A3")
-    w0 = weyl.longest_element(a3)
-    all_words = set(weyl.reduced_words(a3, w0))
-    for prefix in [(0,), (1, 0), (0, 2)]:
-        got = set(weyl.completions_to_w0(a3, prefix))
-        expect = {w for w in all_words if w[: len(prefix)] == prefix}
-        assert got == expect
 
 
 def test_bruhat_examples(rs):
